@@ -3,7 +3,7 @@
 
 A manufacturer operates a fleet of TyTAN devices in the field and
 wants to know, centrally, that every unit still runs the genuine agent
-binary.  This example drives the 1.4 `repro.fleet` API four ways:
+binary.  This example drives the typed `repro.fleet` API four ways:
 
 * a clean-link round — every device attests on the first challenge;
 * a lossy link (20% datagram loss) — the verifier tier retries with

@@ -73,7 +73,7 @@ from repro.net.fabric import FabricProfile
 from repro.obs import Event, EventBus
 from repro.rtos.kernel import RunResult
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Event",

@@ -3,7 +3,7 @@
 * :mod:`repro.fleet.config` - the typed configuration objects
   (:class:`FleetConfig`, :class:`ShardConfig`, :class:`StoreConfig`;
   :class:`~repro.net.fabric.FabricProfile` re-exported), the single
-  construction path of the 1.4 API.
+  construction path of the fleet API.
 * :mod:`repro.fleet.device` - one TyTAN machine behind a NIC, speaking
   the attestation wire protocol.
 * :mod:`repro.fleet.snapshot` - snapshot-fork boot: one secure-booted

@@ -1,6 +1,6 @@
 """Typed configuration objects for the fleet stack.
 
-These are the single construction path for the 1.4 fleet API::
+These are the single construction path for the fleet API::
 
     config = FleetConfig(devices=10_000, seed=7, boot_mode="snapshot")
     fleet = Fleet(
@@ -50,8 +50,8 @@ class FleetConfig:
         fabric RNG.  Two runs with equal configs and seeds are
         bit-identical.
     workers:
-        Worker-pool size (compute lanes); ``0`` steps devices serially
-        in-process (one lane).
+        Worker-pool size (compute lanes), at least 2; ``0`` steps
+        devices serially in-process (one lane).
     boot_mode:
         ``"snapshot"`` boots one template machine per device class
         through secure boot and forks the rest from its snapshot
@@ -109,8 +109,8 @@ class FleetConfig:
             raise ConfigurationError(
                 "boot_mode must be one of %s, got %r" % (BOOT_MODES, boot_mode)
             )
-        if workers < 0:
-            raise ConfigurationError("workers must be >= 0")
+        if workers < 0 or workers == 1:
+            raise ConfigurationError("workers must be 0 for serial, or at least 2")
         if max_attempts < 1 or max_rejects < 1:
             raise ConfigurationError("max_attempts/max_rejects must be >= 1")
         if timeout_us is not None and timeout_us < 1:

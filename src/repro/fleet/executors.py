@@ -129,8 +129,6 @@ class PoolExecutor:
         cfa=False,
         rogue_mode="tamper",
     ):
-        if workers < 2:
-            raise ValueError("a worker pool needs at least 2 workers")
         self.device_ids = list(device_ids)
         self.fleet_seed = fleet_seed
         self.rogue = frozenset(rogue)

@@ -41,22 +41,16 @@ device computations where the serial executor must queue them.
 
 Everything in the :class:`~repro.fleet.result.FleetResult` is
 reproducible bit-for-bit for a given configuration and seed.
-
-The pre-1.4 kwarg constructor (``Fleet(64, seed=7, loss=0.1)``) still
-works behind a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro import cycles
-from repro.fleet.config import FleetConfig, ShardConfig, StoreConfig
+from repro.fleet.config import ShardConfig, StoreConfig
 from repro.fleet.device import device_platform_key, expected_fleet_identity
 from repro.fleet.executors import PoolExecutor, SerialExecutor
 from repro.fleet.result import SCHEMA_VERSION, FleetResult
 from repro.fleet.shards import ShardedVerifierService
-from repro.fleet.store import AttestationStore
 from repro.net.fabric import FabricProfile, NetworkFabric
 from repro.obs.bus import EventBus
 
@@ -67,76 +61,20 @@ US_PER_SEC = 1_000_000
 #: cycles each machine *actually* spent.
 _ATTEST_CYCLES = cycles.KEY_DERIVATION + cycles.ATTEST_MAC
 
-#: Legacy kwargs accepted (with a warning) by the pre-1.4 constructor.
-_LEGACY_DEFAULTS = {
-    "seed": 0,
-    "loss": 0.0,
-    "latency_us": 200,
-    "jitter_us": 50,
-    "duplicate": 0.0,
-    "reorder": 0.0,
-    "workers": 4,
-    "rogue": (),
-    "provider": b"",
-    "timeout_us": None,
-    "max_attempts": 8,
-    "max_rejects": 3,
-    "backoff_us": 2_000,
-    "obs_capacity": 65_536,
-}
-
 
 class Fleet:
     """A simulated device fleet under one (sharded) verifier tier."""
 
-    def __init__(self, config=None, *, shards=None, fabric=None, store=None, hz=None, **legacy):
-        if config is None or isinstance(config, int):
-            # Pre-1.4 spelling: Fleet(devices, seed=..., loss=..., ...).
-            warnings.warn(
-                "Fleet(devices, seed=..., loss=...) is deprecated; construct "
-                "with FleetConfig (and FabricProfile/ShardConfig/StoreConfig)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            unknown = set(legacy) - set(_LEGACY_DEFAULTS)
-            if unknown:
-                raise TypeError("unknown Fleet arguments: %s" % sorted(unknown))
-            opts = dict(_LEGACY_DEFAULTS, **legacy)
-            config = FleetConfig(
-                devices=8 if config is None else config,
-                seed=opts["seed"],
-                workers=opts["workers"] or 0,
-                rogue=opts["rogue"],
-                provider=opts["provider"],
-                timeout_us=opts["timeout_us"],
-                max_attempts=opts["max_attempts"],
-                max_rejects=opts["max_rejects"],
-                backoff_us=opts["backoff_us"],
-                obs_capacity=opts["obs_capacity"],
-                **({"hz": hz} if hz is not None else {}),
-            )
-            fabric = FabricProfile(
-                latency_us=opts["latency_us"],
-                jitter_us=opts["jitter_us"],
-                loss=opts["loss"],
-                duplicate=opts["duplicate"],
-                reorder=opts["reorder"],
-            )
-        elif legacy or hz is not None:
-            raise TypeError(
-                "unknown Fleet arguments (protocol and clock knobs belong "
-                "on FleetConfig): %s" % sorted(set(legacy) | ({"hz"} if hz is not None else set()))
-            )
-
+    def __init__(self, config, *, shards=None, fabric=None, store=None):
         self.config = config
         self.shard_config = shards if shards is not None else ShardConfig(1)
         self.profile = fabric if fabric is not None else FabricProfile(jitter_us=50)
         if store is None:
             store = StoreConfig("memory")
-        self.store_config = store if isinstance(store, StoreConfig) else None
-        self.store = store.build() if isinstance(store, StoreConfig) else store
-        if not isinstance(self.store, AttestationStore):
-            raise TypeError("store must be a StoreConfig or an AttestationStore")
+        elif not isinstance(store, StoreConfig):
+            raise TypeError("store must be a StoreConfig")
+        self.store_config = store
+        self.store = store.build()
 
         self.devices = config.devices
         self.seed = config.seed
@@ -338,12 +276,7 @@ class Fleet:
             if elapsed_us
             else 0.0
         )
-        store_echo = (
-            self.store_config.to_dict()
-            if self.store_config is not None
-            else {"backend": type(self.store).__name__, "path": self.store.path, "resume": self.store.resume}
-        )
-        store_echo["records"] = self.store.appended
+        store_echo = dict(self.store_config.to_dict(), records=self.store.appended)
         return FleetResult(
             {
                 "schema": SCHEMA_VERSION,

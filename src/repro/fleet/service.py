@@ -24,12 +24,10 @@ Scale: the service keeps a deadline *heap* over its devices, so
 pre-1.4 O(N) scan per call - the difference between 10k devices being
 a fleet and being a quadratic stall.
 
-The canonical constructor takes a :class:`~repro.fleet.config.FleetConfig`::
+The constructor takes a :class:`~repro.fleet.config.FleetConfig` and a
+challenge expiry (``timeout_us=``, or ``config.timeout_us``)::
 
-    service = VerifierService(registry, identity, config)
-
-The pre-1.4 kwarg spelling (``provider=…, timeout_us=…``) still works
-behind a :class:`DeprecationWarning`.
+    service = VerifierService(registry, identity, config, timeout_us=50_000)
 
 The service is transport-agnostic: :meth:`poll` returns the frames to
 send, and the orchestrator feeds delivered datagrams to :meth:`handle`.
@@ -44,11 +42,10 @@ Per-device state machine::
 from __future__ import annotations
 
 import heapq
-import warnings
 
 from repro.cfa import PathVerifier, evidence_mac_ok
 from repro.core.remote_attest import Verifier
-from repro.errors import AttestationError
+from repro.errors import AttestationError, ConfigurationError
 from repro.net.wire import CfaChallenge, CfaResponse, Challenge, Response, decode_message
 
 #: Device protocol states.
@@ -56,9 +53,6 @@ PENDING = "pending"
 AWAITING = "awaiting"
 ATTESTED = "attested"
 QUARANTINED = "quarantined"
-
-#: Pre-1.4 default challenge expiry (legacy-shim constructions only).
-LEGACY_TIMEOUT_US = 50_000
 
 
 def _percentile(sorted_values, pct):
@@ -111,12 +105,11 @@ class VerifierService:
         The agent identity every device must attest to.
     config:
         The :class:`~repro.fleet.config.FleetConfig` supplying the
-        protocol knobs (provider, timeouts, retry policy).  Passing a
-        ``bytes`` provider here instead - the pre-1.4 signature - still
-        works but warns.
+        protocol knobs (provider, timeouts, retry policy).
     timeout_us:
         Resolved challenge expiry override; the orchestrator passes the
         fleet-sized timeout here when ``config.timeout_us`` is ``None``.
+        One of the two must be set.
     obs:
         Optional event bus for ``fleet-*`` events.
     store:
@@ -130,51 +123,18 @@ class VerifierService:
         self,
         registry,
         expected_identity,
-        config=None,
-        provider=None,
+        config,
         *,
         timeout_us=None,
-        max_attempts=None,
-        max_rejects=None,
-        backoff_us=None,
-        backoff_factor=None,
         obs=None,
         store=None,
         shard_id=0,
     ):
-        if config is None or isinstance(config, (bytes, str)):
-            # Pre-1.4 spelling: VerifierService(registry, id, b"prov",
-            # timeout_us=..., ...).  Fold everything into a FleetConfig.
-            from repro.fleet.config import FleetConfig
-
-            warnings.warn(
-                "VerifierService(provider=..., timeout_us=...) is deprecated; "
-                "pass a FleetConfig as the third argument",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            legacy_provider = config if config is not None else provider
-            config = FleetConfig(
-                devices=max(1, len(registry)),
-                provider=legacy_provider if legacy_provider is not None else b"",
-                timeout_us=timeout_us if timeout_us is not None else LEGACY_TIMEOUT_US,
-                max_attempts=max_attempts if max_attempts is not None else 8,
-                max_rejects=max_rejects if max_rejects is not None else 3,
-                backoff_us=backoff_us if backoff_us is not None else 2_000,
-                backoff_factor=backoff_factor if backoff_factor is not None else 2,
-            )
-            timeout_us = config.timeout_us
-        elif any(
-            knob is not None
-            for knob in (provider, max_attempts, max_rejects, backoff_us, backoff_factor)
-        ):
-            raise TypeError(
-                "pass protocol knobs through FleetConfig, not alongside it"
-            )
-
         resolved_timeout = timeout_us if timeout_us is not None else config.timeout_us
         if resolved_timeout is None:
-            resolved_timeout = LEGACY_TIMEOUT_US
+            raise ConfigurationError(
+                "challenge expiry unset: pass timeout_us or set FleetConfig.timeout_us"
+            )
         self.config = config
         self.timeout_us = int(resolved_timeout)
         self.max_attempts = config.max_attempts
@@ -186,7 +146,7 @@ class VerifierService:
         self.shard_id = int(shard_id)
         #: Control-flow attestation: challenge with :class:`CfaChallenge`
         #: and adjudicate the path evidence in every response.
-        self.cfa = bool(getattr(config, "cfa", False))
+        self.cfa = config.cfa
         self._path_verifier = None
         if self.cfa:
             from repro.fleet.device import fleet_task_image

@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_right
 
 from repro.errors import ConfigurationError, MemoryFault
-from repro.perf.counters import HitMissCounter
+from repro.obs.counters import HitMissCounter
 
 MASK32 = 0xFFFFFFFF
 

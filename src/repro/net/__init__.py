@@ -8,7 +8,7 @@
   attestation challenge/response frames.
 """
 
-from repro.net.fabric import Endpoint, FabricProfile, LinkProfile, NetworkFabric
+from repro.net.fabric import Endpoint, FabricProfile, NetworkFabric
 from repro.net.wire import (
     Challenge,
     Response,
@@ -21,7 +21,6 @@ __all__ = [
     "Challenge",
     "Endpoint",
     "FabricProfile",
-    "LinkProfile",
     "NetworkFabric",
     "Response",
     "decode_frame",

@@ -17,9 +17,6 @@ config object) as the default for every link::
 
     fabric = NetworkFabric(FabricProfile(latency_us=200, loss=0.1), seed=7)
 
-The pre-1.4 ``NetworkFabric(seed=..., default_profile=...)`` spelling
-still works but emits a :class:`DeprecationWarning`.
-
 Scale: the fleet orchestrator sends one *batch* of frames per fabric
 tick (:meth:`Endpoint.send_batch`), which amortizes the profile lookup
 and the RNG attribute loads over the whole batch, and drains deliveries
@@ -34,7 +31,6 @@ lands in the destination's receive queue (source ``"net"``).
 from __future__ import annotations
 
 import heapq
-import warnings
 from collections import deque
 
 from repro.errors import NetworkError
@@ -94,11 +90,6 @@ class FabricProfile:
         )
 
 
-#: Pre-1.4 name of :class:`FabricProfile`; kept as an alias so existing
-#: imports keep working.
-LinkProfile = FabricProfile
-
-
 class Endpoint:
     """One attachment point on the fabric: a name plus a receive queue."""
 
@@ -137,28 +128,8 @@ class Endpoint:
 class NetworkFabric:
     """The seeded datagram fabric connecting a fleet to its verifier."""
 
-    def __init__(self, profile=None, *, seed=0, obs=None, default_profile=None):
+    def __init__(self, profile=None, *, seed=0, obs=None):
         import random
-
-        if isinstance(profile, int):
-            # Pre-1.4 positional spelling: NetworkFabric(seed).
-            warnings.warn(
-                "NetworkFabric(seed) is deprecated; use "
-                "NetworkFabric(FabricProfile(...), seed=seed)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            seed = profile
-            profile = None
-        if default_profile is not None:
-            warnings.warn(
-                "NetworkFabric(default_profile=...) is deprecated; pass the "
-                "FabricProfile as the first argument instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if profile is None:
-                profile = default_profile
 
         #: Current fabric time in microseconds.
         self.now = 0

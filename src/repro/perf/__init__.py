@@ -12,9 +12,6 @@ cache structures shared by the CPU, the EA-MPU, and the memory map:
   EA-MPU *allow* verdicts for data accesses and control transfers,
   invalidated by the MPU's epoch counter (bumped on every
   ``program_slot``/``clear_slot``);
-* :class:`~repro.obs.counters.HitMissCounter` - hit/miss/invalidation
-  counters (now part of :mod:`repro.obs`; re-exported here), registered
-  with each platform's ``obs.counters`` registry for tests and benches;
 * :mod:`repro.perf.blocks` / :mod:`repro.perf.translate` - the
   block-translation tier: hot straight-line superblocks compiled to
   single Python closures with hoisted EA-MPU checks and batched cycle
@@ -34,7 +31,6 @@ caches on or off (``tests/test_perf_equivalence.py`` and
 ``tests/test_perf_blocks.py`` assert this).
 """
 
-from repro.perf.counters import HitMissCounter
 from repro.perf.decision_cache import MPUDecisionCache
 from repro.perf.insn_cache import DecodedInsnCache
 
@@ -42,7 +38,6 @@ __all__ = [
     "BlockCache",
     "BlockEngine",
     "DecodedInsnCache",
-    "HitMissCounter",
     "MPUDecisionCache",
     "SuperBlock",
     "Trace",

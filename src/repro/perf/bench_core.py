@@ -26,9 +26,8 @@ log, and timer ticks - which the bench asserts before reporting
 numbers.
 
 Reports are cumulative: ``BENCH_cpu_core.json`` keeps a timestamped
-``history`` list so the performance trajectory is tracked from PR to
-PR (a pre-existing report in the old single-workload schema is folded
-into the history rather than discarded).
+``history`` list so the performance trajectory is tracked from run to
+run.
 """
 
 from __future__ import annotations
@@ -533,23 +532,6 @@ def _history_entry(result):
     }
 
 
-def _legacy_history_entry(old):
-    """Fold a pre-block-tier (single-workload) report into the history."""
-    return {
-        "timestamp": "(before run-history tracking)",
-        "instructions": old.get("instructions"),
-        "workloads": {
-            "alu": {
-                "insns_per_sec": {
-                    "baseline": old["baseline"]["insns_per_sec"],
-                    "fastpath": old["fastpath"]["insns_per_sec"],
-                },
-                "speedups": {"fastpath_vs_baseline": old["speedup"]},
-            }
-        },
-    }
-
-
 def _load_report(path):
     """The existing report at ``path`` as a dict ({} if absent/bad)."""
     try:
@@ -561,15 +543,9 @@ def _load_report(path):
 
 
 def _history_of(old):
-    """The history list of an existing report, in either schema."""
-    if isinstance(old.get("history"), list):
-        return old["history"]
-    if "baseline" in old and "fastpath" in old:
-        try:
-            return [_legacy_history_entry(old)]
-        except (KeyError, TypeError):
-            return []
-    return []
+    """The history list of an existing report ([] if it has none)."""
+    history = old.get("history")
+    return history if isinstance(history, list) else []
 
 
 def write_report(

@@ -1,20 +1,16 @@
-"""Hit/miss bookkeeping shared by every fast-path cache.
+"""The trace-JIT's counter bundle.
 
-:class:`HitMissCounter` moved to :mod:`repro.obs.counters` when the
-observability bus absorbed the counters layer; this module re-exports
-it so existing imports keep working.  New code should import from
-:mod:`repro.obs` and register counters with a
+:class:`TraceCounters` groups the trace tier's :mod:`repro.obs.counters`
+instances for registration with a
 :class:`~repro.obs.counters.CounterRegistry` (every platform exposes
-one at ``platform.obs.counters``).
-
-This module also defines :class:`TraceCounters`, the trace-JIT's
-counter bundle.  The trace tier's behaviour is otherwise invisible by
-design (bit-identical architectural state), so these counters are the
-only way ``repro.tools.trace`` summaries and benches can show what the
-JIT actually did: how many traces were compiled and flushed, how often
-guards bailed to the interpreter, how horizon admission split between
-whole bodies and prefix checkpoints, and what fraction of translated
-loads/stores (per access width) hit the direct memory-slab fast path.
+one at ``platform.obs.counters``).  The trace tier's behaviour is
+otherwise invisible by design (bit-identical architectural state), so
+these counters are the only way ``repro.tools.trace`` summaries and
+benches can show what the JIT actually did: how many traces were
+compiled and flushed, how often guards bailed to the interpreter, how
+horizon admission split between whole bodies and prefix checkpoints,
+and what fraction of translated loads/stores (per access width) hit the
+direct memory-slab fast path.
 """
 
 from __future__ import annotations
@@ -105,4 +101,4 @@ class TraceCounters:
         }
 
 
-__all__ = ["Counter", "HitMissCounter", "TraceCounters"]
+__all__ = ["TraceCounters"]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from repro.perf.counters import HitMissCounter
+from repro.obs.counters import HitMissCounter
 
 #: One past the top of the 32-bit physical address space.
 _TOP = 0x1_0000_0000

@@ -15,7 +15,7 @@ decodes again.
 
 from __future__ import annotations
 
-from repro.perf.counters import HitMissCounter
+from repro.obs.counters import HitMissCounter
 
 #: log2 of the invalidation granule (256-byte pages).
 PAGE_SHIFT = 8

@@ -68,7 +68,8 @@ from repro.isa.encoding import decode
 from repro.isa.opcodes import BASE_CYCLES, CONDITIONAL_BRANCHES, LENGTHS, Op
 from repro.cycles import CFA_EDGE_CYCLES, INSN_BRANCH_TAKEN
 from repro.perf.blocks import ALU_OPS, MEM_OPS, PAGE_SHIFT, discover
-from repro.perf.counters import HitMissCounter, TraceCounters
+from repro.obs.counters import HitMissCounter
+from repro.perf.counters import TraceCounters
 
 _M = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -436,7 +437,7 @@ def build_trace(memory, head, profile, cfa=None):
 
 
 class _Source:
-    """Tiny indented-source builder (trace twin of translate's)."""
+    """Tiny indented-source builder (block and trace codegen)."""
 
     def __init__(self):
         self.lines = []

@@ -41,40 +41,20 @@ aborts.
 
 from __future__ import annotations
 
+from repro.analysis.constprop import _FLAG_WRITERS
 from repro.hw.memory import RamRegion
 from repro.isa.opcodes import BASE_CYCLES, Op
 from repro.obs.counters import Counter
 from repro.perf.blocks import ALU_OPS, MEM_OPS, BlockCache, discover
-from repro.perf.traces import TraceJIT
-
-_M = 0xFFFFFFFF
-_SIGN = 0x80000000
-#: EFLAGS with the four ALU result flags (CF|ZF|SF|OF) cleared.
-_FLAG_KEEP = 0xFFFFF73E
-
-#: Instructions whose handlers write EFLAGS result flags.
-_FLAG_WRITERS = frozenset(
-    {
-        Op.ADD,
-        Op.SUB,
-        Op.AND,
-        Op.OR,
-        Op.XOR,
-        Op.CMP,
-        Op.SHL,
-        Op.SHR,
-        Op.MUL,
-        Op.ADDI,
-        Op.SUBI,
-        Op.ANDI,
-        Op.ORI,
-        Op.XORI,
-        Op.CMPI,
-        Op.SHLI,
-        Op.SHRI,
-        Op.NOT,
-        Op.NEG,
-    }
+from repro.perf.traces import (
+    _ALIGN_SHIFT,
+    _ESP,
+    _FLAG_KEEP,
+    _M,
+    _SIGN,
+    _SITE_WIDTH,
+    TraceJIT,
+    _Source,
 )
 
 #: Instructions that write their ``reg`` operand (kills a known const).
@@ -104,15 +84,7 @@ _REG_KILLERS = frozenset(
     }
 )
 
-_ESP = 4  # Reg.ESP
-
 _SIZE_MASK = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
-
-#: load/store width in bytes by opcode (mem-format ops only).
-_WIDTH = {Op.LD: 4, Op.ST: 4, Op.LDH: 2, Op.STH: 2, Op.LDB: 1, Op.STB: 1}
-
-#: width -> (alignment mask, index shift) for slab-view indexing.
-_ALIGN_SHIFT = {4: (3, 2), 2: (1, 1), 1: (0, 0)}
 
 
 def _flag_liveness(insns):
@@ -134,19 +106,6 @@ def _flag_liveness(insns):
             needs[i] = live
             live = False
     return needs
-
-
-class _Emitter:
-    """Tiny indented-source builder for the generated closure."""
-
-    def __init__(self):
-        self.lines = []
-
-    def emit(self, indent, text):
-        self.lines.append("    " * indent + text)
-
-    def source(self):
-        return "\n".join(self.lines) + "\n"
 
 
 def _emit_flags(out, indent, carry=None, overflow=None, zero_sign_of="res"):
@@ -175,7 +134,7 @@ def generate(block):
     insns = block.insns
     count = len(insns)
     needs_flags = _flag_liveness(insns)
-    out = _Emitter()
+    out = _Source()
     out.emit(0, "def __block__(cpu, blk):")
     out.emit(1, "regs = cpu.regs")
     out.emit(1, "r = regs.gpr")
@@ -344,7 +303,7 @@ def generate(block):
         credit = i + 1 - done
 
         if opcode in (Op.LD, Op.LDH, Op.LDB):
-            size = _WIDTH[opcode]
+            size = _SITE_WIDTH[opcode]
             mask, shift = _ALIGN_SHIFT[size]
             out.emit(1, "addr = %s" % addr_expr(insn))
             out.emit(1, "w = W[%d]" % k)
@@ -376,7 +335,7 @@ def generate(block):
             continue
 
         if opcode in (Op.ST, Op.STH, Op.STB):
-            size = _WIDTH[opcode]
+            size = _SITE_WIDTH[opcode]
             mask, shift = _ALIGN_SHIFT[size]
             value = "r[%d]" % x if size == 4 else "(r[%d] & %d)" % (x, _SIZE_MASK[size])
             out.emit(1, "addr = %s" % addr_expr(insn))

@@ -146,7 +146,7 @@ class Kernel:
         self.clock = platform.clock
         self.memory = platform.memory
         #: The platform's observability bus (repro.obs); every kernel
-        #: event is published here alongside the legacy sinks.
+        #: event is published here alongside the kernel sinks.
         self.obs = platform.obs
         self.scheduler = Scheduler()
         self.timer_service = TimerService()
@@ -185,13 +185,11 @@ class Kernel:
     def add_event_sink(self, sink):
         """Register a trace sink ``sink(cycle, kind, data_dict)``.
 
-        .. deprecated::
-            Subscribe to the observability bus instead:
-            ``kernel.obs.subscribe(callback)`` receives structured
-            :class:`~repro.obs.bus.Event` objects from *every* layer
-            (hardware, kernel, trusted components), not just the
-            kernel.  Legacy sinks keep working and see exactly the
-            kernel-emitted event stream.
+        Sinks see exactly the kernel-emitted event stream, also with
+        the observability bus disabled.  For events from *every* layer
+        (hardware, kernel, trusted components) subscribe to the bus
+        instead: ``kernel.obs.subscribe(callback)`` receives structured
+        :class:`~repro.obs.bus.Event` objects.
         """
         self._event_sinks.append(sink)
 

@@ -28,7 +28,7 @@ class EventTrace:
         if bus is not None and bus.enabled:
             bus.subscribe(self._on_bus_event)
         elif kernel is not None:
-            # Bus absent or disabled: fall back to the legacy sink so
+            # Bus absent or disabled: fall back to the kernel sink so
             # the trace still fills from kernel emissions.
             kernel.add_event_sink(self)
 

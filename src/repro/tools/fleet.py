@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ConfigurationError, NetworkError
 from repro.fleet.config import FleetConfig, ShardConfig, StoreConfig
 from repro.fleet.orchestrator import Fleet
 from repro.net.fabric import FabricProfile
@@ -211,13 +212,11 @@ def _render(result, out):
 def main(argv=None, out=None):
     """Entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     rogue = [int(x) for x in args.rogue.split(",") if x.strip() != ""]
-    store = StoreConfig("memory")
-    if args.store:
-        store = StoreConfig("jsonl", path=args.store, resume=args.resume)
-    fleet = Fleet(
-        FleetConfig(
+    try:
+        config = FleetConfig(
             devices=args.devices,
             seed=args.seed,
             workers=0 if args.serial else args.workers,
@@ -227,17 +226,21 @@ def main(argv=None, out=None):
             cfa=args.cfa,
             timeout_us=args.timeout_us,
             max_attempts=args.max_attempts,
-        ),
-        shards=ShardConfig(shards=args.shards),
-        fabric=FabricProfile(
+        )
+        shards = ShardConfig(shards=args.shards)
+        fabric = FabricProfile(
             latency_us=args.latency_us,
             jitter_us=args.jitter_us,
             loss=args.loss,
             duplicate=args.duplicate,
             reorder=args.reorder,
-        ),
-        store=store,
-    )
+        )
+        store = StoreConfig("memory")
+        if args.store:
+            store = StoreConfig("jsonl", path=args.store, resume=args.resume)
+    except (ConfigurationError, NetworkError) as exc:
+        parser.error(str(exc))
+    fleet = Fleet(config, shards=shards, fabric=fabric, store=store)
     result = fleet.run()
     fleet.store.close()
     if args.json:

@@ -15,6 +15,7 @@ from repro.fleet.device import (
 )
 from repro.fleet.orchestrator import Fleet
 from repro.fleet.service import VerifierService
+from repro.fleet.store import MemoryStore
 from repro.hw.nic import NetworkInterface
 from repro.hw.platform import MachineConfig
 from repro.net.fabric import FabricProfile
@@ -104,10 +105,12 @@ class TestFleetDevice:
 
 
 class TestVerifierService:
-    def make_service(self, device_ids=(0, 1), **kwargs):
+    def make_service(self, device_ids=(0, 1), timeout_us=50_000, **kwargs):
         registry = {i: device_platform_key(0, i) for i in device_ids}
         config = FleetConfig(devices=max(device_ids) + 1, **kwargs)
-        return VerifierService(registry, expected_fleet_identity(), config)
+        return VerifierService(
+            registry, expected_fleet_identity(), config, timeout_us=timeout_us
+        )
 
     def respond(self, device_id, frame, fleet_seed=0, rogue=False):
         device = FleetDevice(device_id, fleet_seed=fleet_seed, rogue=rogue)
@@ -207,20 +210,14 @@ class TestVerifierService:
         assert service.handle(0, blob, now=now + 1) == "stale"
         assert service.report()["attested"] == 0
 
-    def test_legacy_kwarg_constructor_warns(self):
+    def test_unset_timeout_rejected(self):
         registry = {0: device_platform_key(0, 0)}
-        with pytest.warns(DeprecationWarning):
-            service = VerifierService(
-                registry,
-                expected_fleet_identity(),
-                b"",
-                timeout_us=2_000,
-                max_attempts=5,
-            )
+        with pytest.raises(ConfigurationError):
+            VerifierService(registry, expected_fleet_identity(), FleetConfig(devices=1))
+        service = VerifierService(
+            registry, expected_fleet_identity(), FleetConfig(devices=1, timeout_us=2_000)
+        )
         assert service.timeout_us == 2_000
-        assert service.max_attempts == 5
-        [(device_id, _)] = service.poll(now=0)
-        assert device_id == 0
 
     def test_config_plus_legacy_knobs_rejected(self):
         registry = {0: device_platform_key(0, 0)}
@@ -234,7 +231,7 @@ class TestVerifierService:
 
 
 def make_fleet(devices, *, seed=0, loss=0.0, workers=0, rogue=(), shards=1, **cfg):
-    """A Fleet through the 1.4 config path (jitterful default link)."""
+    """A Fleet through the typed config path (jitterful default link)."""
     return Fleet(
         FleetConfig(devices=devices, seed=seed, workers=workers, rogue=rogue, **cfg),
         shards=ShardConfig(shards=shards),
@@ -310,16 +307,13 @@ class TestFleetRuns:
         with pytest.raises(ConfigurationError):
             make_fleet(2, rogue=(5,))
 
-    def test_legacy_kwarg_constructor_warns_and_runs(self):
-        with pytest.warns(DeprecationWarning):
-            fleet = Fleet(4, seed=1, workers=0)
-        result = fleet.run()
-        assert fleet.healthy(result)
-        assert result["health"]["attested"] == 4
-
     def test_new_path_rejects_legacy_kwargs(self):
         with pytest.raises(TypeError):
             Fleet(FleetConfig(devices=2), loss=0.5)
+
+    def test_store_must_be_a_store_config(self):
+        with pytest.raises(TypeError):
+            Fleet(FleetConfig(devices=2), store=MemoryStore())
 
 
 class TestFleetCli:
@@ -327,6 +321,11 @@ class TestFleetCli:
         out = io.StringIO()
         code = fleet_cli.main(list(argv), out=out)
         return code, out.getvalue()
+
+    def test_bad_config_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli("--devices", "2", "--workers", "1")
+        assert exit_info.value.code == 2
 
     def test_json_output_deterministic_and_healthy(self):
         args = ("--devices", "4", "--loss", "0.1", "--seed", "7", "--serial", "--json")

@@ -1,4 +1,4 @@
-"""Typed fleet configs, the attestation store, and the legacy shims."""
+"""Typed fleet configs, the attestation store, and fabric construction."""
 
 import json
 import warnings
@@ -26,6 +26,8 @@ class TestFleetConfig:
             FleetConfig(boot_mode="warm")
         with pytest.raises(ConfigurationError):
             FleetConfig(workers=-1)
+        with pytest.raises(ConfigurationError):
+            FleetConfig(workers=1)
         with pytest.raises(ConfigurationError):
             FleetConfig(max_attempts=0)
         with pytest.raises(ConfigurationError):
@@ -132,11 +134,6 @@ class TestFabricShims:
             warnings.simplefilter("error")
             fabric = NetworkFabric(FabricProfile(latency_us=100), seed=1)
         assert fabric.default_profile.latency_us == 100
-
-    def test_legacy_default_profile_kwarg_warns(self):
-        with pytest.deprecated_call():
-            fabric = NetworkFabric(seed=1, default_profile=FabricProfile(latency_us=9))
-        assert fabric.default_profile.latency_us == 9
 
     def test_no_profile_defaults_cleanly(self):
         with warnings.catch_warnings():

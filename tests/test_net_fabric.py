@@ -3,14 +3,12 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.fabric import LinkProfile, NetworkFabric
+from repro.net.fabric import FabricProfile, NetworkFabric
 from repro.obs.bus import EventBus
 
 
 def make_fabric(seed=0, **profile_kwargs):
-    fabric = NetworkFabric(
-        seed=seed, default_profile=LinkProfile(**profile_kwargs)
-    )
+    fabric = NetworkFabric(FabricProfile(**profile_kwargs), seed=seed)
     a = fabric.attach("a")
     b = fabric.attach("b")
     return fabric, a, b
@@ -31,13 +29,13 @@ class TestTopology:
 
     def test_bad_profiles_rejected(self):
         with pytest.raises(NetworkError):
-            LinkProfile(loss=1.5)
+            FabricProfile(loss=1.5)
         with pytest.raises(NetworkError):
-            LinkProfile(latency_us=-1)
+            FabricProfile(latency_us=-1)
 
     def test_link_override(self):
         fabric, a, b = make_fabric(loss=0.0)
-        lossy = LinkProfile(loss=1.0)
+        lossy = FabricProfile(loss=1.0)
         fabric.set_link("a", "b", lossy)
         assert fabric.profile_for("a", "b") is lossy
         assert fabric.profile_for("b", "a") is fabric.default_profile
@@ -87,9 +85,9 @@ class TestDelivery:
 
     def test_reordering_overtakes(self):
         fabric, a, b = make_fabric(latency_us=100, jitter_us=0, reorder=1.0)
-        fabric.set_link("a", "b", LinkProfile(latency_us=100, reorder=1.0))
+        fabric.set_link("a", "b", FabricProfile(latency_us=100, reorder=1.0))
         a.send("b", b"slow")
-        fabric.set_link("a", "b", LinkProfile(latency_us=100))
+        fabric.set_link("a", "b", FabricProfile(latency_us=100))
         a.send("b", b"fast")
         fabric.advance(1_000)
         first = b.recv()[1]
@@ -123,9 +121,7 @@ class TestDeterminism:
 
 class TestObsEvents:
     def test_send_drop_deliver_events(self):
-        fabric = NetworkFabric(
-            seed=3, default_profile=LinkProfile(latency_us=10, loss=0.5)
-        )
+        fabric = NetworkFabric(FabricProfile(latency_us=10, loss=0.5), seed=3)
         bus = EventBus(clock=fabric)
         fabric.obs = bus
         a = fabric.attach("a")
@@ -140,9 +136,7 @@ class TestObsEvents:
         assert fabric.stats["dropped"] + fabric.stats["delivered"] == 50
 
     def test_deliver_events_stamped_at_delivery_time(self):
-        fabric = NetworkFabric(
-            seed=0, default_profile=LinkProfile(latency_us=123, jitter_us=0)
-        )
+        fabric = NetworkFabric(FabricProfile(latency_us=123, jitter_us=0), seed=0)
         bus = EventBus(clock=fabric)
         fabric.obs = bus
         a = fabric.attach("a")

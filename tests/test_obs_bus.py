@@ -19,7 +19,6 @@ from repro.obs import (
     CounterRegistry,
     Event,
     EventBus,
-    HitMissCounter,
     chrome_trace,
     read_jsonl,
     summary_text,
@@ -121,11 +120,6 @@ class TestCounters:
         with pytest.raises(ValueError):
             registry.register(Counter("x"))
         registry.register(Counter("x"), replace=True)
-
-    def test_hit_miss_counter_reexported(self):
-        from repro.perf.counters import HitMissCounter as legacy
-
-        assert legacy is HitMissCounter
 
 
 # -- a real run to export ----------------------------------------------------

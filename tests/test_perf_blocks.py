@@ -374,25 +374,6 @@ class TestBench:
         second = write_report(path=str(path), instructions=1_000)
         assert len(second["history"]) == 2
 
-    def test_write_report_folds_legacy_schema(self, tmp_path):
-        import json
-
-        path = tmp_path / "bench.json"
-        legacy = {
-            "bench": "cpu_core",
-            "instructions": 150_000,
-            "baseline": {"seconds": 1.0, "insns_per_sec": 100_000.0},
-            "fastpath": {"seconds": 0.25, "insns_per_sec": 400_000.0},
-            "speedup": 4.0,
-        }
-        path.write_text(json.dumps(legacy))
-        result = write_report(path=str(path), instructions=1_000)
-        assert len(result["history"]) == 2
-        assert (
-            result["history"][0]["workloads"]["alu"]["insns_per_sec"]["fastpath"]
-            == 400_000.0
-        )
-
 
 class TestRegisterContract:
     def test_esp_visible_to_block_stack_ops(self):
