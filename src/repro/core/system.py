@@ -38,13 +38,28 @@ from repro.core.secure_storage import SecureStorage
 VECTOR_IPC_SYNC = 0x24
 
 
+#: One period of the ``131 * i`` byte ramp under every component page.
+_RAMP = bytes(131 * index & 0xFF for index in range(256))
+#: Identity byte table; rotated by ``k`` it adds ``k`` modulo 256.
+_BYTES = bytes(range(256))
+
+
 def _fill_component_page(platform, component):
     """Give a component page deterministic pseudo-binary contents so
-    secure boot has real bytes to measure."""
+    secure boot has real bytes to measure.
+
+    Byte ``i`` is ``(seed[i % len(seed)] + 131 * i) & 0xFF``: the ramp
+    tiled to the page size, with each seed residue class shifted by its
+    seed byte through one ``bytes.translate``.
+    """
     seed = component.NAME.encode("utf-8")
-    page = bytearray(component.size)
-    for index in range(component.size):
-        page[index] = (seed[index % len(seed)] + index * 131) & 0xFF
+    size = component.size
+    ramp = _RAMP * -(-size // len(_RAMP))
+    page = bytearray(size)
+    step = len(seed)
+    for residue, byte in enumerate(seed):
+        shift = _BYTES[byte:] + _BYTES[:byte]
+        page[residue::step] = ramp[residue:size:step].translate(shift)
     platform.memory.write_raw(component.base, bytes(page))
 
 

@@ -25,6 +25,7 @@ A *rogue* device models a compromised member.  Two behaviours
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from repro.core.identity import identity_of_image
@@ -137,8 +138,13 @@ def device_platform_key(fleet_seed, device_id):
     this models the out-of-band K_p sharing of the paper's symmetric
     scheme at fleet scale.
     """
-    master = SHA1(b"tytan-fleet-%d" % fleet_seed).digest()
-    return derive_key(master, b"device", struct.pack("<I", device_id))
+    return derive_key(_fleet_master(fleet_seed), b"device", struct.pack("<I", device_id))
+
+
+@functools.lru_cache(maxsize=16)
+def _fleet_master(fleet_seed):
+    """The fleet master secret: one SHA-1 per seed, not per device."""
+    return SHA1(b"tytan-fleet-%d" % fleet_seed).digest()
 
 
 class FleetDevice:

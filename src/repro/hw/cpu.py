@@ -42,6 +42,7 @@ from repro.hw.registers import Flag, RegisterFile
 from repro.isa.encoding import decode
 from repro.isa.opcodes import BASE_CYCLES, Op
 from repro.perf.insn_cache import DecodedInsnCache
+from repro.perf.spans import SpanIndex
 
 #: Longest instruction encoding; fetch reads this many bytes.
 MAX_INSN_BYTES = 6
@@ -93,14 +94,16 @@ class CPU:
         #: simulated behaviour is identical either way).
         self.fastpath = bool(fastpath)
         self._insn_cache = None
+        #: Exact-span write snoop shared by every code cache (created
+        #: with the first one; see :attr:`spans`).
+        self._spans = None
         #: ``(lo, hi, epoch)`` coverage cell the sequential-advance
         #: shortcut is valid in, or ``None``.
         self._advance_cell = None
         #: Block-translation engine (``None`` until ``enable_blocks``).
         self._blocks = None
         if self.fastpath:
-            self._insn_cache = DecodedInsnCache()
-            memory.add_write_listener(self._insn_cache.note_write)
+            self._insn_cache = DecodedInsnCache(self.spans)
 
     def attach_engine(self, engine):
         """Wire the exception engine (done by the Platform)."""
@@ -112,6 +115,14 @@ class CPU:
     def insn_cache(self):
         """The decoded-instruction cache (``None`` when fastpath is off)."""
         return self._insn_cache
+
+    @property
+    def spans(self):
+        """The :class:`~repro.perf.spans.SpanIndex` every code cache
+        registers its bodies' byte spans with (created on first use)."""
+        if self._spans is None:
+            self._spans = SpanIndex(self.memory)
+        return self._spans
 
     @property
     def block_engine(self):
@@ -216,7 +227,6 @@ class CPU:
                         insn,
                         mpu.epoch if mpu is not None else cache.NO_MPU_EPOCH,
                     )
-                    memory.note_snooped_range(eip, eip + insn.length)
         else:
             memory.check_execute(eip, eip)
             insn = self._fetch(eip)

@@ -19,8 +19,8 @@ from repro.obs.counters import HitMissCounter
 
 MASK32 = 0xFFFFFFFF
 
-#: log2 of the write-snoop granule shared by every code cache (decoded
-#: instructions, superblocks, traces): 256-byte pages.
+#: log2 of the :attr:`PhysicalMemory.snooped_pages` granule, the
+#: page-level filter compiled stores probe: 256-byte pages.
 SNOOP_PAGE_SHIFT = 8
 
 
@@ -275,13 +275,14 @@ class PhysicalMemory:
         self._write_listeners = []
         #: Pages (address >> :data:`SNOOP_PAGE_SHIFT`) that ever held a
         #: cached code artifact (decoded instructions, superblocks,
-        #: traces).  Every cache that registers a write listener also
-        #: records its pages here, so a translated store fast path may
-        #: skip the listener fan-out entirely when its target page was
-        #: never cached: no listener could have anything to invalidate.
-        #: The set is add-only (entries may go stale when a cache drops
-        #: a page); staleness only costs a redundant listener round,
-        #: never a missed invalidation.
+        #: traces).  The code caches' span index
+        #: (:class:`repro.perf.spans.SpanIndex`) records every page a
+        #: cached body's bytes touch here, so a translated store fast
+        #: path may skip the listener fan-out entirely when its target
+        #: page was never cached: no listener could have anything to
+        #: invalidate.  The set is add-only (entries may go stale when
+        #: a body is dropped); staleness only costs a redundant
+        #: listener round, never a missed invalidation.
         self.snooped_pages = set()
 
     def note_snooped_range(self, start, end):

@@ -6,8 +6,13 @@ path must be cached rather than recomputed.  This package holds the
 cache structures shared by the CPU, the EA-MPU, and the memory map:
 
 * :class:`~repro.perf.insn_cache.DecodedInsnCache` - decoded
-  instructions keyed by EIP, invalidated when any write (checked or
-  raw) lands in a cached code range;
+  instructions keyed by EIP;
+* :class:`~repro.perf.spans.SpanIndex` - the write snoop shared by the
+  instruction, block and trace caches: a write (checked or raw) drops
+  exactly the cached bodies whose code bytes it overlaps, and every
+  page a cached span touches is kept in ``memory.snooped_pages``, the
+  page-level filter compiled store fast paths probe before skipping
+  the broadcast;
 * :class:`~repro.perf.decision_cache.MPUDecisionCache` - memoized
   EA-MPU *allow* verdicts for data accesses and control transfers,
   invalidated by the MPU's epoch counter (bumped on every
@@ -33,15 +38,16 @@ caches on or off (``tests/test_perf_equivalence.py`` and
 
 from repro.perf.decision_cache import MPUDecisionCache
 from repro.perf.insn_cache import DecodedInsnCache
+from repro.perf.spans import SpanIndex
 
 __all__ = [
     "BlockCache",
     "BlockEngine",
     "DecodedInsnCache",
     "MPUDecisionCache",
+    "SpanIndex",
     "SuperBlock",
     "Trace",
-    "TraceCache",
     "TraceJIT",
 ]
 
@@ -57,7 +63,7 @@ def __getattr__(name):
         from repro.perf.translate import BlockEngine
 
         return BlockEngine
-    if name in ("Trace", "TraceCache", "TraceJIT"):
+    if name in ("Trace", "TraceJIT"):
         from repro.perf import traces
 
         return getattr(traces, name)

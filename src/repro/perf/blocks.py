@@ -23,10 +23,12 @@ or loop head).  Discovery terminates at:
 
 All hoisted verdicts are valid for exactly one EA-MPU rule-table epoch;
 the :class:`BlockCache` is flushed wholesale when the epoch moves, and
-individual blocks are invalidated by the same write-snoop port the
-decoded-instruction cache uses (page-granular, checked and raw writes
-alike).  Addresses where discovery cannot form a worthwhile block are
-remembered as *no-block markers* so dispatch stays a single dict probe.
+individual blocks are invalidated through the same
+:class:`~repro.perf.spans.SpanIndex` the decoded-instruction cache
+uses: a write (checked or raw) drops exactly the blocks whose
+``[start, end)`` bytes it overlaps.  Addresses where discovery cannot
+form a worthwhile block are remembered as *no-block markers* so
+dispatch stays a single dict probe.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from repro.hw.memory import RamRegion
 from repro.isa.encoding import decode
 from repro.isa.opcodes import BASE_CYCLES, CONDITIONAL_BRANCHES, LENGTHS, Op
 from repro.obs.counters import HitMissCounter
-
-#: log2 of the invalidation granule (256-byte pages, like the insn cache).
-PAGE_SHIFT = 8
 
 #: Longest instruction encoding; discovery reads this many bytes.
 _MAX_INSN_BYTES = max(LENGTHS.values())
@@ -118,11 +117,13 @@ class SuperBlock:
     admission test relies on.
     """
 
-    __slots__ = ("start", "end", "insns", "cost", "windows", "valid", "run", "source")
+    __slots__ = ("start", "end", "spans", "insns", "cost", "windows", "valid", "run", "source")
 
     def __init__(self, start, end, insns, cost):
         self.start = start
         self.end = end
+        #: The bytes the verdict was built from, for the write snoop.
+        self.spans = ((start, end),)
         self.insns = insns
         self.cost = cost
         #: Per-memory-instruction hoisted allow windows, filled lazily
@@ -210,61 +211,45 @@ class BlockCache:
     """Entry-EIP -> :class:`SuperBlock`, snooped and epoch-flushed.
 
     Mirrors the decoded-instruction cache's invalidation contract:
-    every bus write (checked or raw) drops the blocks whose span shares
-    a 256-byte page with the written range, and marks them invalid so a
-    block that is *currently executing* aborts at its next store.
+    every bus write (checked or raw) drops the blocks whose
+    ``[start, end)`` bytes it overlaps (markers included), and marks
+    them invalid so a block that is *currently executing* aborts at its
+    next store.  The trace tier keeps its
+    :class:`~repro.perf.traces.Trace` bodies in a second instance,
+    ``BlockCache(index, "trace")``, snooped by their ``spans`` too.
     """
 
-    def __init__(self):
+    def __init__(self, index, name="block"):
         self.entries = {}
-        self._pages = {}
+        #: The :class:`~repro.perf.spans.SpanIndex` snooping the bytes.
+        self.index = index
         #: Dispatch-miss visit counts (the hot-threshold heuristic).
         self.heat = {}
         #: EA-MPU rule-table epoch the cached blocks were built under
         #: (``None`` until the first sync; blocks survive exactly one
         #: epoch, like the decision cache's memoized verdicts).
         self.epoch = None
-        self.stats = HitMissCounter("block")
+        self.stats = HitMissCounter(name)
 
     def __len__(self):
         return len(self.entries)
 
-    def put(self, block):
-        """Register ``block`` (or marker) for dispatch and snooping."""
-        self.entries[block.start] = block
-        pages = self._pages
-        first = block.start >> PAGE_SHIFT
-        last = (block.end - 1) >> PAGE_SHIFT
-        for page in range(first, last + 1):
-            bucket = pages.get(page)
-            if bucket is None:
-                bucket = pages[page] = set()
-            bucket.add(block.start)
+    def put(self, body):
+        """Register ``body`` (or marker) for dispatch and snooping."""
+        self.entries[body.start] = body
+        self.index.add(self, body.start, body.spans)
 
-    def note_write(self, address, size):
-        """Snoop a write; drop every block on a touched page."""
-        pages = self._pages
-        if not pages or size <= 0:
-            return
-        first = address >> PAGE_SHIFT
-        last = (address + size - 1) >> PAGE_SHIFT
-        entries = self.entries
-        for page in range(first, last + 1):
-            bucket = pages.pop(page, None)
-            if bucket is None:
-                continue
-            for eip in bucket:
-                block = entries.pop(eip, None)
-                if block is not None:
-                    block.valid = False
-            self.stats.invalidations += 1
+    def drop(self, start):
+        """Span-index callback: a write changed the body's bytes."""
+        self.entries.pop(start).valid = False
+        self.stats.invalidations += 1
 
     def flush(self):
         """Drop everything (EA-MPU epoch change)."""
-        for block in self.entries.values():
-            block.valid = False
+        for body in self.entries.values():
+            body.valid = False
         self.entries.clear()
-        self._pages.clear()
+        self.index.discard(self)
         self.stats.invalidations += 1
 
     def note_miss(self, eip):

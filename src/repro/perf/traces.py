@@ -49,12 +49,16 @@ lands on exactly the same instruction boundary as single-stepping (the
 same contract the block tier obeys), while the 400-cycle-tick tail
 that used to single-step now runs at trace speed.
 
-Invalidation mirrors the block cache: page-granular write snooping
-(checked and raw writes alike) plus a wholesale flush when the EA-MPU
+Invalidation mirrors the block cache: the shared
+:class:`~repro.perf.spans.SpanIndex` drops a trace when a write
+(checked or raw) overlaps the exact bytes of one of its stitched
+instructions, and the cache is flushed wholesale when the EA-MPU
 rule-table epoch moves.  A store issued from *inside* a running trace
-that lands in a snooped page takes the broadcast ``write_raw`` path and
-aborts the trace at the next instruction boundary when the trace
-invalidated itself (self-modifying code).
+that lands in a snooped page (``memory.snooped_pages``, the
+page-granular filter over every cached span) takes the broadcast
+``write_raw`` path and aborts the trace at the next instruction
+boundary when the trace invalidated itself (self-modifying code); a
+store that only shares the page with trace code leaves it cached.
 """
 
 from __future__ import annotations
@@ -63,12 +67,11 @@ from bisect import bisect_right
 
 from repro.analysis.constprop import _FLAG_WRITERS, counted_loop_counter
 from repro.errors import IllegalInstruction
-from repro.hw.memory import SNOOP_PAGE_SHIFT, RamRegion
+from repro.hw.memory import RamRegion
 from repro.isa.encoding import decode
 from repro.isa.opcodes import BASE_CYCLES, CONDITIONAL_BRANCHES, LENGTHS, Op
 from repro.cycles import CFA_EDGE_CYCLES, INSN_BRANCH_TAKEN
-from repro.perf.blocks import ALU_OPS, MEM_OPS, PAGE_SHIFT, discover
-from repro.obs.counters import HitMissCounter
+from repro.perf.blocks import ALU_OPS, MEM_OPS, BlockCache, discover
 from repro.perf.counters import TraceCounters
 
 _M = 0xFFFFFFFF
@@ -141,7 +144,7 @@ class Trace:
         "counter_reg",
         "windows",
         "windows2",
-        "pages",
+        "spans",
         "valid",
         "run",
         "run_fast",
@@ -172,8 +175,9 @@ class Trace:
         #: and stack, say) hits slab speed on both instead of thrashing
         #: the single slot into a slow call every iteration.
         self.windows2 = []
-        #: Snoop pages spanned by the trace's code bytes.
-        self.pages = frozenset()
+        #: ``(lo, hi)`` byte spans the trace was built from (one per
+        #: stitched instruction; a marker's head instruction).
+        self.spans = ()
         #: Cleared by the write snoop; checked after broadcast stores.
         self.valid = True
         #: Compiled ``__trace__(cpu, tr, n)`` (``None`` = marker).
@@ -208,72 +212,6 @@ class Trace:
             ", looping" if self.looping else "",
             ", marker" if not self.items else "",
         )
-
-
-def _trace_pages(items):
-    """Snoop pages covered by the trace's instruction bytes."""
-    pages = set()
-    for item in items:
-        address = item[1]
-        last = (address + item[2].length - 1) >> PAGE_SHIFT
-        pages.update(range(address >> PAGE_SHIFT, last + 1))
-    return frozenset(pages)
-
-
-class TraceCache:
-    """Entry-EIP -> :class:`Trace`, snooped and epoch-flushed.
-
-    Same invalidation contract as the block cache: every bus write
-    (checked or raw) drops the traces whose code bytes share a 256-byte
-    page with the written range and marks them invalid so a trace that
-    is *currently executing* aborts after its next broadcast store.
-    """
-
-    def __init__(self):
-        self.entries = {}
-        self._pages = {}
-        #: EA-MPU rule-table epoch the cached traces were built under.
-        self.epoch = None
-        self.stats = HitMissCounter("trace")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def put(self, trace):
-        """Register ``trace`` (or marker) for dispatch and snooping."""
-        self.entries[trace.start] = trace
-        pages = self._pages
-        for page in trace.pages:
-            bucket = pages.get(page)
-            if bucket is None:
-                bucket = pages[page] = set()
-            bucket.add(trace.start)
-
-    def note_write(self, address, size):
-        """Snoop a write; drop every trace on a touched page."""
-        pages = self._pages
-        if not pages or size <= 0:
-            return
-        first = address >> PAGE_SHIFT
-        last = (address + size - 1) >> PAGE_SHIFT
-        entries = self.entries
-        for page in range(first, last + 1):
-            bucket = pages.pop(page, None)
-            if bucket is None:
-                continue
-            for eip in bucket:
-                trace = entries.pop(eip, None)
-                if trace is not None:
-                    trace.valid = False
-            self.stats.invalidations += 1
-
-    def flush(self):
-        """Drop everything (EA-MPU epoch change)."""
-        for trace in self.entries.values():
-            trace.valid = False
-        self.entries.clear()
-        self._pages.clear()
-        self.stats.invalidations += 1
 
 
 class EdgeProfile:
@@ -422,7 +360,7 @@ def build_trace(memory, head, profile, cfa=None):
                 cost += CFA_EDGE_CYCLES
     trace.iter_cost = cost
     trace.iter_retire = retire
-    trace.pages = _trace_pages(items)
+    trace.spans = tuple((item[1], item[1] + item[2].length) for item in items)
     if looping and items[-1][0] == "guard" and items[-1][3]:
         body = items[:-1]
         if all(item[0] == "insn" for item in body):
@@ -1736,6 +1674,8 @@ def generate_trace(trace, fast=False, prefix=False):
         # flag writer, the guard provably taken, and nothing else
         # observable in between.
         em.materialize_all()
+        if out.lines[-1].endswith("range(n):"):
+            out.emit(2, "pass")  # every body op folded away
         counter = trace.counter_reg
         if counter_lone:
             # the elided per-iteration decrements, applied at once
@@ -1851,13 +1791,12 @@ class TraceJIT:
     def __init__(self, engine, cpu):
         self.engine = engine
         self.cpu = cpu
-        self.cache = TraceCache()
+        self.cache = BlockCache(cpu.spans, "trace")
         self.profile = EdgeProfile()
         self.counters = TraceCounters()
         #: Exit address of the last trace/block execution; the next
         #: dispatch at a *different* address closes the edge.
         self.pending_edge = None
-        cpu.memory.add_write_listener(self.cache.note_write)
 
     def epoch_flush(self, reason="mpu-epoch"):
         """Drop all traces and profiles (EA-MPU rule-table epoch moved,
@@ -1882,18 +1821,15 @@ class TraceJIT:
             return
         trace = build_trace(memory, eip, self.profile, self.cpu.cfa)
         if trace is None:
-            # Remember the refusal, but snoop the head's page so the
-            # marker drops when the code there changes.
+            # Remember the refusal, but snoop the head instruction so
+            # the marker drops when the code there changes.
             marker = Trace(eip, (), False, None)
-            marker.pages = frozenset({eip >> PAGE_SHIFT})
+            head = _decode_at(memory, eip)
+            marker.spans = ((eip, eip + (head.length if head is not None else 1)),)
             cache.put(marker)
-            memory.snooped_pages.add(eip >> SNOOP_PAGE_SHIFT)
             return
         translate_trace(trace, self.counters)
         cache.put(trace)
-        # Block-cache pages and memory snoop pages share the 256-byte
-        # granule, so the page sets interchange directly.
-        memory.snooped_pages.update(trace.pages)
         self.counters.compiles.add()
         obs = self.engine.obs
         if obs is not None:

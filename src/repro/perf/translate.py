@@ -587,9 +587,9 @@ class BlockEngine:
     """Dispatcher: block cache + heat + horizon + epoch management.
 
     One per CPU (see :meth:`repro.hw.cpu.CPU.enable_blocks`).  The
-    engine owns the :class:`~repro.perf.blocks.BlockCache`, registers
-    it on the memory write-snoop port, and decides per dispatch whether
-    a translated block may run:
+    engine owns the :class:`~repro.perf.blocks.BlockCache` (snooped
+    through the CPU's :class:`~repro.perf.spans.SpanIndex`) and decides
+    per dispatch whether a translated block may run:
 
     * never while a trace hook or memory watchpoint is attached (their
       callbacks must see every instruction / access);
@@ -606,7 +606,7 @@ class BlockEngine:
         #: Callable returning the earliest cycle an IRQ can become
         #: pending, or ``None`` for "no scheduled events".
         self.horizon = horizon
-        self.cache = BlockCache()
+        self.cache = BlockCache(cpu.spans)
         #: Observability bus (optional); block lifecycle events publish
         #: under the diagnostic ``perf`` source, which equivalence
         #: comparisons exclude (it only exists when blocks are on).
@@ -615,7 +615,6 @@ class BlockEngine:
         self.translations = Counter("block-translations")
         self.executions = Counter("block-executions")
         self.deferrals = Counter("block-horizon-deferrals")
-        cpu.memory.add_write_listener(self.cache.note_write)
         #: CFA enrolment generation the cached traces were built under
         #: (trace bodies embed hash updates for the enrolled regions,
         #: so an enrolment change flushes them like an MPU epoch move).
@@ -709,9 +708,6 @@ class BlockEngine:
                         cost=block.cost,
                     )
             cache.put(block)
-            # Every page a cached verdict spans must broadcast stores
-            # (trace-tier slab writes bypass the bus otherwise).
-            memory.note_snooped_range(block.start, block.end)
             if block.run is None:
                 return None
         elif block.run is None:

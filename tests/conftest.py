@@ -8,6 +8,17 @@ from repro import TyTAN, build_freertos_baseline
 from repro.hw.platform import Platform
 
 
+#: Writes at the edges of a cached code body's bytes ``[lo, hi)``:
+#: ``(address(lo, hi), size, drops_the_body)``.
+SPAN_EDGE_WRITES = [
+    pytest.param(lambda lo, hi: lo - 1, 1, False, id="byte-before"),
+    pytest.param(lambda lo, hi: hi, 1, False, id="byte-after"),
+    pytest.param(lambda lo, hi: hi - 1, 1, True, id="last-byte"),
+    pytest.param(lambda lo, hi: hi - 1, 2, True, id="u16-straddling-end"),
+    pytest.param(lambda lo, hi: hi - 2, 4, True, id="u32-straddling-end"),
+]
+
+
 @pytest.fixture
 def platform():
     """A bare hardware platform (no kernel, no MPU rules)."""

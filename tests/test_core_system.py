@@ -21,6 +21,30 @@ class TestFacade:
         for component in components:
             assert system.platform.in_firmware(component.base)
 
+    def test_component_pages_hold_the_seeded_ramp(self, system):
+        # Secure boot measures these bytes: byte i of a component page
+        # is (NAME[i % len(NAME)] + 131 * i) & 0xFF.
+        components = [
+            system.kernel.trap_gate,
+            system.mpu_driver,
+            system.int_mux,
+            system.rtm,
+            system.ipc,
+            system.remote_attest,
+            system.secure_storage,
+            system.updater,
+            system.cfi,
+            system.cfa,
+        ]
+        for component in components:
+            seed = component.NAME.encode("utf-8")
+            expected = bytes(
+                (seed[index % len(seed)] + index * 131) & 0xFF
+                for index in range(component.size)
+            )
+            got = system.platform.memory.read_raw(component.base, component.size)
+            assert got == expected, component.NAME
+
     def test_build_image_convenience(self, system):
         image = system.build_image(COUNTER_TASK, "x", stack_size=300)
         assert image.stack_size == 300

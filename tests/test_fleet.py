@@ -2,10 +2,13 @@
 
 import io
 import json
+import struct
 
 import pytest
 
 from repro.core.system import TyTAN
+from repro.crypto.kdf import derive_key
+from repro.crypto.sha1 import SHA1
 from repro.errors import ConfigurationError
 from repro.fleet.config import FleetConfig, ShardConfig
 from repro.fleet.device import (
@@ -102,6 +105,15 @@ class TestFleetDevice:
         blob, _ = rogue.handle_frame(Challenge(0, 0, b"n").to_bytes())
         message = decode_message(blob)
         assert message.report.identity != expected_fleet_identity()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_platform_key_derivation_is_pinned(self, seed):
+        # The fleet master secret is computed once per seed; every
+        # device key must still be KDF(SHA1(b"tytan-fleet-<seed>"), id).
+        master = SHA1(b"tytan-fleet-%d" % seed).digest()
+        for device_id in (0, 1, 1023):
+            expected = derive_key(master, b"device", struct.pack("<I", device_id))
+            assert device_platform_key(seed, device_id) == expected
 
 
 class TestVerifierService:

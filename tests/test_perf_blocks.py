@@ -11,11 +11,13 @@ differential hold.
 
 import pytest
 
+from conftest import SPAN_EDGE_WRITES
 from repro.errors import TyTANError
 from repro.hw.platform import MachineConfig, Platform
 from repro.hw.registers import Reg
 from repro.isa.opcodes import Op
 from repro.perf.bench_core import (
+    CODE_BASE,
     DATA_BASE,
     STACK_BASE,
     build_rig,
@@ -280,7 +282,7 @@ class TestDiscovery:
 
 class TestCacheMechanics:
     def test_hot_threshold(self):
-        cache = BlockCache()
+        cache = BlockCache(None)
         for _ in range(HOT_THRESHOLD - 1):
             assert not cache.note_miss(0x1000)
         assert cache.note_miss(0x1000)
@@ -294,9 +296,25 @@ class TestCacheMechanics:
         cache = engine.cache
         assert len(cache) > 0
         victim = next(iter(cache.entries.values()))
-        cache.note_write(victim.start, 1)
+        cache.index.note_write(victim.start, 1)
         assert victim.start not in cache.entries
         assert not victim.valid
+
+    @pytest.mark.parametrize("at, size, dropped", SPAN_EDGE_WRITES)
+    def test_write_snoop_drops_spanning_blocks_exact_span(self, at, size, dropped):
+        cpu = build_rig(fastpath=True, source=ALL_OPS_SOURCE)
+        engine = cpu.enable_blocks()
+        _run_to_halt(cpu)
+        cache = engine.cache
+        victim = next(
+            block
+            for block in cache.entries.values()
+            if block.run is not None and block.start > CODE_BASE
+        )
+        address = at(victim.start, victim.end)
+        cpu.memory.write_raw(address, cpu.memory.read_raw(address, size))
+        assert (victim.start not in cache.entries) == dropped
+        assert victim.valid != dropped
 
     def test_epoch_flush_on_mpu_reprogram(self):
         from repro.hw.ea_mpu import MpuRule, Perm

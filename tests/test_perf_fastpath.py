@@ -8,6 +8,7 @@ from a cache.
 
 import pytest
 
+from conftest import SPAN_EDGE_WRITES
 from repro.errors import EntryPointFault, ProtectionFault
 from repro.hw.clock import CycleClock
 from repro.hw.cpu import CPU
@@ -89,6 +90,21 @@ class TestDecodedInsnCache:
         cpu.regs.eip = entry
         cpu.step()
         assert cpu.regs.read(Reg.EBX) == 7
+
+    @pytest.mark.parametrize("at, size, dropped", SPAN_EDGE_WRITES)
+    def test_raw_write_invalidates_cached_code_exact_span(self, at, size, dropped):
+        cpu, _ = make_cpu("nop\nmovi ebx, 5\nnop\nhlt")
+        cpu.step()
+        start = cpu.regs.eip
+        cpu.step()
+        cache = cpu.insn_cache
+        assert cache.get(start) is not None
+        address = at(start, cpu.regs.eip)
+        # Same bytes back: only the snoop's verdict changes.
+        cpu.memory.write_raw(address, cpu.memory.read_raw(address, size))
+        assert (cache.get(start) is None) == dropped
+        # One count per dropped body; the nop before ``start`` is one.
+        assert cache.stats.invalidations == dropped + (address < start)
 
     def test_self_modifying_store_is_redecoded(self):
         # The program rewrites the immediate of `movi ebx, 5` to 7 via a

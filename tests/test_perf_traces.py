@@ -11,6 +11,7 @@ traces, and the trace counters land on the platform's obs registry.
 
 import pytest
 
+from conftest import SPAN_EDGE_WRITES
 from repro.hw.platform import MachineConfig, Platform
 from repro.perf.bench_core import (
     DATA_BASE,
@@ -222,9 +223,21 @@ class TestSelfModification:
         victims = [t for t in cache.entries.values() if t.run is not None]
         assert victims
         victim = victims[0]
-        cache.note_write(victim.start, 1)
+        cache.index.note_write(victim.start, 1)
         assert victim.start not in cache.entries
         assert not victim.valid
+
+    @pytest.mark.parametrize("at, size, dropped", SPAN_EDGE_WRITES)
+    def test_note_write_drops_spanning_trace_exact_span(self, at, size, dropped):
+        _, _, cpu = _pair(_COUNTED_SOURCE)
+        cache = cpu.block_engine.traces.cache
+        victim = next(t for t in cache.entries.values() if t.run is not None)
+        lo = min(item[1] for item in victim.items)
+        hi = max(item[1] + item[2].length for item in victim.items)
+        address = at(lo, hi)
+        cpu.memory.write_raw(address, cpu.memory.read_raw(address, size))
+        assert (victim.start not in cache.entries) == dropped
+        assert victim.valid != dropped
 
 
 class TestCacheLifecycle:

@@ -9,6 +9,10 @@ the block tier's own ``perf``-source lifecycle events) must be
 bit-for-bit identical: interrupts must land on exactly the same
 instruction boundary whether execution single-steps or runs
 horizon-admitted superblocks.
+
+A third property adds stores to the ``near`` words placed right after
+the code, which share a snoop granule with it: they take the broadcast
+store path, and the exact-span snoop must never serve stale code.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +29,8 @@ _SCRATCH = ("eax", "edx", "esi", "edi", "ebp")
 _reg = st.sampled_from(_SCRATCH)
 _imm = st.integers(min_value=0, max_value=0xFFFF)
 _disp = st.integers(min_value=0, max_value=0x38).map(lambda n: n * 4)
+#: Byte offsets into the ``near`` words right after the code.
+_near = st.integers(min_value=0, max_value=15).map(lambda n: n * 4)
 
 _insn = st.one_of(
     st.tuples(st.sampled_from(("addi", "subi", "xori", "andi", "ori")), _reg, _imm).map(
@@ -45,6 +51,11 @@ _insn = st.one_of(
     ),
 )
 
+#: A store into the ``near`` words, which share a snoop granule with code.
+_near_store = st.tuples(st.sampled_from(("st", "stb")), _reg, _near).map(
+    lambda t: "movi ebp, near\n%s [ebp+%d], %s" % (t[0], t[2], t[1])
+)
+
 
 def _program(body, iterations, data_base):
     lines = ["start:", "movi ebx, %d" % data_base, "movi ecx, %d" % iterations, "sti", "loop:"]
@@ -62,12 +73,14 @@ def _program(body, iterations, data_base):
             "pop ebx",
             "pop eax",
             "iret",
+            "near:",
+            ".space 64",
         ]
     )
     return "\n".join(lines) + "\n"
 
 
-def _run(source, blocks, tick_period, traces=True):
+def _run(source, blocks, tick_period, traces=True, max_cycles=500_000):
     platform = Platform(
         MachineConfig(blocks=blocks, traces=traces, tick_period=tick_period)
     )
@@ -75,6 +88,7 @@ def _run(source, blocks, tick_period, traces=True):
     data_base = base + 0x4000
     image = link(assemble(source), stack_size=64)
     handler = base + link(assemble(source), entry_symbol="irq_handler", stack_size=64).entry
+    near = base + link(assemble(source), entry_symbol="near", stack_size=64).entry
     blob = bytearray(image.blob)
     for offset in image.relocations:
         value = int.from_bytes(blob[offset : offset + 4], "little")
@@ -85,7 +99,7 @@ def _run(source, blocks, tick_period, traces=True):
     cpu.regs.eip = base + image.entry
     cpu.regs.esp = base + 0x8000
     platform.tick_timer.start(platform.clock.now)
-    entry = platform.run_isa_until_event(max_cycles=500_000)
+    entry = platform.run_isa_until_event(max_cycles=max_cycles)
     assert entry.kind == "halt"
     return {
         "retired": cpu.retired,
@@ -94,6 +108,7 @@ def _run(source, blocks, tick_period, traces=True):
         "eip": cpu.regs.eip,
         "eflags": cpu.regs.eflags,
         "data": platform.memory.read_raw(data_base, 0x100),
+        "near": platform.memory.read_raw(near, 64),
         "ticks": platform.tick_timer.ticks,
         "events": [
             event.to_dict()
@@ -153,3 +168,32 @@ def test_traces_invisible_under_random_irqs(body, iterations, tick_period):
     assert ablated == traced
     if ablated["cycles"] > 2 * tick_period:
         assert ablated["ticks"] > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    body=st.lists(st.one_of(_insn, _near_store), min_size=4, max_size=24),
+    tick_period=st.integers(min_value=60, max_value=3000),
+    budget=st.integers(min_value=1_000, max_value=10_000),
+)
+# Regression: a counted loop whose body folds away entirely once
+# compiled an empty ``for`` into its fast body (IndentationError).
+@example(body=["addi eax, 0"] * 4, tick_period=60, budget=1000)
+def test_stores_next_to_code_invisible_under_random_irqs(body, tick_period, budget):
+    """Stores into the words right after the code take the broadcast
+    store path, and the exact-span snoop never leaves stale code
+    running: interpreter, blocks and traces agree at the end of the
+    cycle budget.
+
+    The loop never exits within the budget: a trace headed at the
+    closing ``jnz`` stops the simulated clock when its head guard fails
+    on loop exit (the trace-JIT livelock pinned in ``perfbench/tests``),
+    which these programs reach in a few percent of examples."""
+    source = _program(body, 0x7FFFFFFF, 0x0010_4000)
+    plain = _run(source, blocks=False, tick_period=tick_period, max_cycles=budget)
+    blocked = _run(
+        source, blocks=True, tick_period=tick_period, traces=False, max_cycles=budget
+    )
+    traced = _run(source, blocks=True, tick_period=tick_period, max_cycles=budget)
+    assert plain == blocked == traced
+    assert plain["ticks"] > 0 or budget < 2 * tick_period
