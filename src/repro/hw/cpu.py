@@ -102,6 +102,10 @@ class CPU:
         self._advance_cell = None
         #: Block-translation engine (``None`` until ``enable_blocks``).
         self._blocks = None
+        #: Raised by the exception engine's ``hw_return`` (IRET and
+        #: context restores), consumed by the block engine's next
+        #: dispatch; wall-clock only, like every perf-tier hint.
+        self.resumed = False
         if self.fastpath:
             self._insn_cache = DecodedInsnCache(self.spans)
 

@@ -144,7 +144,12 @@ class ExceptionEngine:
     def hw_return(self, cpu):
         """Execute the IRET half the hardware performs: pop EIP and
         EFLAGS from the current stack and resume.  The transfer is
-        privileged (it may land mid-region in an interrupted task)."""
+        privileged (it may land mid-region in an interrupted task).
+
+        Every IRET and every kernel/Int Mux context restore comes
+        through here, so it also raises ``cpu.resumed``: the compiled
+        tiers may re-enter cached code at the resume point rather than
+        treat it as a new entry (no simulated effect)."""
         regs = cpu.regs
         new_eip = self.memory.read_u32(regs.esp, PhysicalMemory.HW_ACTOR)
         regs.esp = regs.esp + 4
@@ -152,4 +157,5 @@ class ExceptionEngine:
         regs.esp = regs.esp + 4
         regs.eip = new_eip
         regs.eflags = new_eflags
+        cpu.resumed = True
         return new_eip

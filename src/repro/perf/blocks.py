@@ -55,7 +55,9 @@ MIN_BLOCK_INSNS = 3
 
 #: Dispatch misses at one address before it is considered hot enough to
 #: translate (cold straight-line code is visited once per address and
-#: never translated; loop heads reach the threshold on re-entry).
+#: never translated; loop heads reach the threshold on re-entry).  Only
+#: *entries* count inside cached bodies: see
+#: :class:`~repro.perf.translate.BlockEngine`.
 HOT_THRESHOLD = 2
 
 #: Bound on the visit-count table (cleared wholesale when exceeded).
@@ -132,7 +134,9 @@ class SuperBlock:
         #: Cleared by the write snoop; checked by the running closure
         #: after every store so self-modifying code aborts the block.
         self.valid = True
-        #: The compiled closure ``run(cpu, block)`` (``None`` = marker).
+        #: The compiled closure ``run(cpu, block)``: ``None`` until the
+        #: block's first horizon-admitted dispatch compiles it, and
+        #: always for a marker.
         self.run = None
         #: Generated Python source (debugging / obs).
         self.source = None
@@ -215,15 +219,17 @@ class BlockCache:
     ``[start, end)`` bytes it overlaps (markers included), and marks
     them invalid so a block that is *currently executing* aborts at its
     next store.  The trace tier keeps its
-    :class:`~repro.perf.traces.Trace` bodies in a second instance,
-    ``BlockCache(index, "trace")``, snooped by their ``spans`` too.
+    :class:`~repro.perf.traces.Trace` bodies in the
+    :class:`~repro.perf.traces.TraceCache` subclass, snooped by their
+    ``spans`` too.
     """
 
     def __init__(self, index, name="block"):
         self.entries = {}
         #: The :class:`~repro.perf.spans.SpanIndex` snooping the bytes.
         self.index = index
-        #: Dispatch-miss visit counts (the hot-threshold heuristic).
+        #: Dispatch-miss visit counts (the hot-threshold heuristic);
+        #: forgotten with the bodies on a wholesale flush.
         self.heat = {}
         #: EA-MPU rule-table epoch the cached blocks were built under
         #: (``None`` until the first sync; blocks survive exactly one
@@ -245,10 +251,12 @@ class BlockCache:
         self.stats.invalidations += 1
 
     def flush(self):
-        """Drop everything (EA-MPU epoch change)."""
+        """Drop everything (EA-MPU epoch change), heat included: visits
+        counted against the old bodies must not carry over."""
         for body in self.entries.values():
             body.valid = False
         self.entries.clear()
+        self.heat.clear()
         self.index.discard(self)
         self.stats.invalidations += 1
 

@@ -8,8 +8,8 @@ otherwise invisible by design (bit-identical architectural state), so
 these counters are the only way ``repro.tools.trace`` summaries and
 benches can show what the JIT actually did: how many traces were
 compiled and flushed, how often guards bailed to the interpreter, how
-horizon admission split between whole bodies and prefix checkpoints,
-and what fraction of translated loads/stores (per access width) hit the
+horizon admission split between whole bodies, prefix checkpoints and
+resumed segments, and what fraction of translated loads/stores (per access width) hit the
 direct memory-slab fast path.
 """
 
@@ -25,10 +25,12 @@ class TraceCounters:
     * ``guard_exits`` - side exits taken because a guard's recorded
       branch direction did not match at run time;
     * ``flushes`` - wholesale trace-cache flushes (EA-MPU epoch moves);
-    * ``admits_full`` / ``admits_prefix`` / ``admits_reject`` -
-      event-horizon admission outcomes: the whole body (or whole loop
-      iterations) fit, only a checkpoint prefix fit, or not even the
-      first checkpoint fit (the dispatch fell back a tier);
+    * ``admits_full`` / ``admits_prefix`` / ``admits_resume`` /
+      ``admits_reject`` - event-horizon admission outcomes: the whole
+      body (or whole loop iterations) fit, only a checkpoint prefix fit,
+      a resumed task re-entered a cached trace at a checkpoint boundary
+      and ran the segment from there that fit, or not even the next
+      checkpoint fit (the dispatch fell back a tier);
     * ``slab_loads`` / ``slab_stores`` (32-bit) and their ``_u16`` /
       ``_u8`` twins - translated memory accesses served by direct slab
       indexing (hits) vs. the checked slow path, a misaligned-access
@@ -41,6 +43,7 @@ class TraceCounters:
         "flushes",
         "admits_full",
         "admits_prefix",
+        "admits_resume",
         "admits_reject",
         "slab_loads",
         "slab_stores",
@@ -56,6 +59,7 @@ class TraceCounters:
         self.flushes = Counter("trace-flushes")
         self.admits_full = Counter("trace-admit-full")
         self.admits_prefix = Counter("trace-admit-prefix")
+        self.admits_resume = Counter("trace-admit-resume")
         self.admits_reject = Counter("trace-admit-reject")
         self.slab_loads = HitMissCounter("slab-load")
         self.slab_stores = HitMissCounter("slab-store")
@@ -72,6 +76,7 @@ class TraceCounters:
             self.flushes,
             self.admits_full,
             self.admits_prefix,
+            self.admits_resume,
             self.admits_reject,
             self.slab_loads,
             self.slab_stores,
@@ -90,6 +95,7 @@ class TraceCounters:
             "admit": {
                 "full": self.admits_full.value,
                 "prefix": self.admits_prefix.value,
+                "resume": self.admits_resume.value,
                 "reject": self.admits_reject.value,
             },
             "slab_load": self.slab_loads.snapshot(),

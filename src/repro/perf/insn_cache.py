@@ -48,6 +48,11 @@ class DecodedInsnCache:
             self.stats.misses += 1
         return entry
 
+    def peek(self, eip):
+        """The cached instruction at ``eip`` or ``None`` (not counted)."""
+        entry = self._insns.get(eip)
+        return None if entry is None else entry[0]
+
     def put(self, eip, insn, epoch=NO_MPU_EPOCH):
         """Cache ``insn`` as the decoding of the bytes at ``eip``."""
         self._insns[eip] = [insn, epoch]

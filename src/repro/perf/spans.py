@@ -39,6 +39,9 @@ class SpanIndex:
         self._lines = {}
         #: cache -> {key: spans} (unregistration and wholesale flushes).
         self._bodies = {}
+        #: Bumped whenever a body is added or dropped, so a caller may
+        #: memoize :meth:`owners` answers while it stays put.
+        self.version = 0
         memory.add_write_listener(self.note_write)
 
     def add(self, cache, key, spans):
@@ -49,6 +52,7 @@ class SpanIndex:
                 lo, hi = merged[-1][0], max(hi, merged.pop()[1])
             merged.append((lo, hi))
         merged = self._bodies.setdefault(cache, {})[key] = tuple(merged)
+        self.version += 1
         ticket = (cache, key)
         lines = self._lines
         for lo, hi in merged:
@@ -87,12 +91,24 @@ class SpanIndex:
                 cache.drop(key)
         return hits
 
+    def owners(self, address):
+        """The ``(cache, key)`` of every body with a byte at ``address``."""
+        bucket = self._lines.get(address >> LINE_SHIFT)
+        if bucket is None:
+            return []
+        return [
+            ticket
+            for ticket, spans in bucket.items()
+            if any(lo <= address < hi for lo, hi in spans)
+        ]
+
     def discard(self, cache):
         """Unregister every body of ``cache`` (flushed wholesale)."""
         for key in list(self._bodies.get(cache, ())):
             self._remove(cache, key)
 
     def _remove(self, cache, key):
+        self.version += 1
         ticket = (cache, key)
         lines = self._lines
         for lo, hi in self._bodies[cache].pop(key):

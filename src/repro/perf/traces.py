@@ -38,16 +38,23 @@ Event-horizon admission is *granular*: a linear trace whose whole cycle
 cost fits before the horizon runs in full; a looping trace computes how
 many whole iterations fit (``(horizon - now) // iter_cost``) and runs
 at most that many, exiting at the loop head.  What does **not** fit
-whole falls to the *horizon-split prefix body*: every trace also
-carries a checkpoint cost table (a cut after each stitched branch and
-every :data:`CHECKPOINT_INSNS` straight-line instructions) and a third
-compiled function that executes exactly the largest checkpoint prefix
-fitting the remaining budget, writing back registers, EFLAGS, the
-exact cycle/retire charge, and the boundary EIP - bit-identical to
-single-stepping the same instructions.  Interrupt delivery therefore
-lands on exactly the same instruction boundary as single-stepping (the
-same contract the block tier obeys), while the 400-cycle-tick tail
-that used to single-step now runs at trace speed.
+whole falls to the *segment body*: every trace also carries a
+checkpoint table (a cut after each stitched branch and every
+:data:`CHECKPOINT_INSNS` straight-line instructions, with its exact
+cumulative cost and boundary EIP) and a third compiled function that
+enters the straight path at one checkpoint boundary and runs exactly
+the largest checkpoint segment from there fitting the remaining
+budget, writing back registers, EFLAGS, the exact cycle/retire charge,
+and the boundary EIP - bit-identical to single-stepping the same
+instructions.  A horizon prefix is the segment entered at the head.
+Interrupt delivery therefore lands on exactly the same instruction
+boundary as single-stepping (the same contract the block tier obeys),
+while the 400-cycle-tick tail that used to single-step now runs at
+trace speed.  The same body serves a task *resumed* mid-trace after an
+interrupt: the engine re-enters the cached trace at the checkpoint
+boundary the task resumes at (or single-steps to within at most
+``CHECKPOINT_INSNS - 1`` instructions), instead of compiling a block
+at the resume point.
 
 Invalidation mirrors the block cache: the shared
 :class:`~repro.perf.spans.SpanIndex` drops a trace when a write
@@ -64,6 +71,7 @@ store that only shares the page with trace code leaves it cached.
 from __future__ import annotations
 
 from bisect import bisect_right
+from hashlib import blake2b
 
 from repro.analysis.constprop import _FLAG_WRITERS, counted_loop_counter
 from repro.errors import IllegalInstruction
@@ -148,8 +156,9 @@ class Trace:
         "valid",
         "run",
         "run_fast",
-        "run_prefix",
+        "run_segment",
         "checkpoints",
+        "boundaries",
         "cfa",
         "source",
     )
@@ -184,14 +193,19 @@ class Trace:
         self.run = None
         #: Specialized counted-loop body (guard and dead flags elided).
         self.run_fast = None
-        #: Horizon-split body ``__trace_prefix__(cpu, tr, n)``: runs the
-        #: first ``n`` checkpoints' worth of the straight path, then
-        #: exits at the checkpoint boundary.  Compiled lazily on the
-        #: first prefix admission.
-        self.run_prefix = None
-        #: Cumulative cycle cost at each countdown checkpoint, in body
-        #: order (strictly increasing; the admission table).
+        #: Segment body ``__trace_segment__(cpu, tr, first, last)``:
+        #: enters the straight path at checkpoint boundary ``first``
+        #: (0 = the head) and exits at boundary ``last`` (past the last
+        #: checkpoint = the path's end).  Compiled lazily on the first
+        #: prefix or resume admission.
+        self.run_segment = None
+        #: Cumulative cycle cost at each checkpoint, in body order
+        #: (strictly increasing; the admission table).
         self.checkpoints = ()
+        #: Entry-checkpoint table: boundary EIP -> checkpoint number
+        #: (1-based), where a resumed dispatch may enter the segment
+        #: body.
+        self.boundaries = {}
         #: Item indices whose stitched taken transfer is recorded by
         #: the CFA monitor (both endpoints inside an enrolled region at
         #: build time).  The compiled bodies emit the same hash update
@@ -614,9 +628,18 @@ class _FoldEmitter:
 
     # -- op application (flag-dead folding) --------------------------
 
-    def _push(self, x, op):
+    def make_room(self, x):
+        """Spill ``x``'s chain if it is full.
+
+        Called before an operand is rendered for ``x``'s next op: a
+        spill reassigns locals, and an operand rendered before it would
+        read them after (so :meth:`_push` only ever spills for
+        constant operands)."""
         if len(self.ops[x]) >= self.CHAIN_LIMIT:
             self.materialize(x)
+
+    def _push(self, x, op):
+        self.make_room(x)
         self.ops[x].append(op)
 
     def apply_add(self, x, sign, operand):
@@ -741,11 +764,16 @@ class _FoldEmitter:
         self.drop(x)
         self.base[x] = value & _M
 
-    def set_copy(self, x, triple):
-        """``mov x, y``: adopt ``(expr, deps, clean)`` as the new base."""
+    def set_copy(self, x, y):
+        """``mov x, y``: adopt ``y``'s current value as ``x``'s new base.
+
+        The value is rendered only after the chains reading ``x``'s
+        local are spilled: that spill may reassign the very locals a
+        value rendered before it reads (``add edi, esi; add esi, ebp;
+        mov ebp, edi`` spills ``esi`` and ``edi`` together)."""
         self.flush_dependents(x)
+        expr, deps, clean = self.value_expr(x, y, need_clean=False)
         self.drop(x)
-        expr, deps, clean = triple
         if not deps and clean and expr.isdigit():
             self.base[x] = int(expr)
         else:
@@ -786,30 +814,35 @@ _SIZE_MASKS = {1: 0xFF, 2: 0xFFFF}
 #: so hoisted per-site window locals need no per-access ``None`` check.
 _NO_WINDOW = (1, 0, None, 0, None, 0)
 
-#: Straight-line instructions between countdown checkpoints in the
-#: horizon-split prefix body (stitched branches always get one).
+#: Straight-line instructions between checkpoints in the segment body
+#: (stitched branches always get one).
 CHECKPOINT_INSNS = 4
+
+#: Generated-source -> code-object memo entries per block engine
+#: (cleared wholesale when exceeded).
+CODE_CACHE_LIMIT = 512
 
 _WIDTHS = (4, 2, 1)
 
 
 def _checkpoint_plan(items, cfa_flags=frozenset()):
-    """Checkpoint placement for the horizon-split prefix body.
+    """Checkpoint placement for the segment body.
 
-    Returns ``(cuts, costs)``: ``cuts[idx]`` marks a countdown
-    checkpoint *after* item ``idx``, and ``costs`` holds the exact
-    cumulative cycle cost at each checkpoint in body order (strictly
-    increasing - the dispatcher bisects it against the remaining
-    horizon budget).  A checkpoint lands after every stitched branch
-    and after every :data:`CHECKPOINT_INSNS` straight-line
+    Returns ``(cuts, costs, eips)``: ``cuts[idx]`` marks a checkpoint
+    *after* item ``idx``, ``costs`` holds the exact cumulative cycle
+    cost at each checkpoint in body order (strictly increasing - the
+    dispatcher bisects it against the remaining horizon budget), and
+    ``eips`` the EIP each checkpoint's boundary exits at (and a resumed
+    dispatch may enter at).  A checkpoint lands after every stitched
+    branch and after every :data:`CHECKPOINT_INSNS` straight-line
     instructions; the final item gets none (the body's own exit
-    already covers the full path, and full execution is the whole-body
-    dispatcher's job).  ``cfa_flags`` (``trace.cfa``) adds the modelled
-    CFA hash-update cost at the flagged stitched transfers, keeping the
-    cumulative table exact when recording is on.
+    already covers the full path).  ``cfa_flags`` (``trace.cfa``) adds
+    the modelled CFA hash-update cost at the flagged stitched
+    transfers, keeping the cumulative table exact when recording is on.
     """
     cuts = [False] * len(items)
     costs = []
+    eips = []
     cost = 0
     since = 0
     last = len(items) - 1
@@ -825,8 +858,18 @@ def _checkpoint_plan(items, cfa_flags=frozenset()):
         if item[0] != "insn" or since >= CHECKPOINT_INSNS:
             cuts[idx] = True
             costs.append(cost)
+            eips.append(_boundary_eip(item))
             since = 0
-    return cuts, tuple(costs)
+    return cuts, tuple(costs), eips
+
+
+def _boundary_eip(item):
+    """Where execution continues after ``item`` on the stitched path."""
+    if item[0] == "guard":
+        return item[4]
+    if item[0] == "jmp":
+        return item[3]
+    return item[1] + item[2].length
 
 
 def _steady_plan(items):
@@ -920,7 +963,7 @@ def _flag_needs(items, cuts=None):
     observed before the next iteration's writers can kill it -
     cross-iteration liveness needs no special casing.
 
-    ``cuts`` (prefix bodies only) adds each countdown checkpoint as an
+    ``cuts`` (segment bodies only) adds each checkpoint as an
     observation point: a checkpoint exit writes EFLAGS back, so the
     last flag writer before every cut must be live.
     """
@@ -947,7 +990,7 @@ def _simple(text):
     return text.isdigit() or (len(text) == 2 and text[0] == "r" and text[1].isdigit())
 
 
-def generate_trace(trace, fast=False, prefix=False):
+def generate_trace(trace, fast=False, segment=False):
     """Generate the Python source for one of ``trace``'s bodies.
 
     The signature is ``__trace__(cpu, tr, n)``: ``n`` is the admitted
@@ -957,21 +1000,25 @@ def generate_trace(trace, fast=False, prefix=False):
     valid for up to ``counter - 1`` iterations (the engine enforces the
     bound), with the counter's final flags reconstructed closed-form.
 
-    With ``prefix=True`` the *horizon-split* body is generated: the
-    straight path rendered linearly (one iteration, for looping traces)
-    with a countdown checkpoint at each :func:`_checkpoint_plan` cut.
-    Called as ``__trace_prefix__(cpu, tr, n)`` it executes exactly the
-    first ``n`` checkpoints' worth of instructions, then writes back
-    every register, EFLAGS, the exact cycle/retire charge, and the
-    checkpoint's boundary EIP - architectural state bit-identical to
-    single-stepping the same instructions.  Checkpoints are flag
-    observation points, so the prefix body elides less than the full
-    body; it only ever runs for the sub-horizon tail of a dispatch.
+    With ``segment=True`` the *segment* body is generated: the straight
+    path rendered linearly (one iteration, for looping traces) as one
+    chunk per :func:`_checkpoint_plan` cut.  Called as
+    ``__trace_segment__(cpu, tr, first, last)`` it enters at checkpoint
+    boundary ``first`` (0 = the head; every register is in its local at
+    a boundary, and the cycle/retire/slab tallies start offset by the
+    skipped chunks), runs to boundary ``last`` (past the final
+    checkpoint: to the path's end), then writes back every register,
+    EFLAGS, the exact cycle/retire charge, and the boundary EIP -
+    architectural state bit-identical to single-stepping the same
+    instructions.  Checkpoints are flag observation points and
+    register spill points, so the segment body folds less than the
+    full body; it only ever runs for a horizon-cut prefix or the rest
+    of a path a resumed task re-enters mid-way.
     """
     items = trace.items[:-1] if fast else trace.items
-    looping = trace.looping and not prefix  # the prefix body is linear
+    looping = trace.looping and not segment  # the segment body is linear
     used, written = _reg_usage(items)
-    cuts = _checkpoint_plan(items)[0] if prefix else None
+    cuts = _checkpoint_plan(items)[0] if segment else None
     needs = [False] * len(items) if fast else _flag_needs(items, cuts)
     load_n = {1: 0, 2: 0, 4: 0}
     store_n = {1: 0, 2: 0, 4: 0}
@@ -1024,11 +1071,10 @@ def generate_trace(trace, fast=False, prefix=False):
     #: per dispatch (refreshed whenever a slow path installs a window).
     hoist = looping and has_mem and not fast
     out = _Source()
-    name = (
-        "__trace_prefix__" if prefix
-        else ("__trace_fast__" if fast else "__trace__")
-    )
-    out.emit(0, "def %s(cpu, tr, n):" % name)
+    if segment:
+        out.emit(0, "def __trace_segment__(cpu, tr, first, last):")
+    else:
+        out.emit(0, "def %s(cpu, tr, n):" % ("__trace_fast__" if fast else "__trace__"))
     out.emit(1, "regs = cpu.regs")
     out.emit(1, "r = regs.gpr")
     if has_mem:
@@ -1051,7 +1097,11 @@ def generate_trace(trace, fast=False, prefix=False):
     out.emit(1, "fl = regs.eflags")
     for j in sorted(used):
         out.emit(1, "r%d = r[%d]" % (j, j))
-    if not fast:
+    if segment:
+        # The per-boundary entry offsets are only known once the chunks
+        # are emitted; they are inserted here afterwards.
+        entry_at = len(out.lines)
+    elif not fast:
         out.emit(1, "p = 0")
         out.emit(1, "ret = 0")
         if looping and has_mem:
@@ -1098,6 +1148,9 @@ def generate_trace(trace, fast=False, prefix=False):
     elif looping:
         out.emit(1, "while n:")
         out.emit(2, "n -= 1")
+        em = _FoldEmitter(out, 2)
+    elif segment and any(cuts):
+        out.emit(1, "if not first:")
         em = _FoldEmitter(out, 2)
     else:
         em = _FoldEmitter(out, 1)
@@ -1315,17 +1368,27 @@ def generate_trace(trace, fast=False, prefix=False):
     KL = {1: 0, 2: 0, 4: 0}  # load sites passed so far, by width
     KS = {1: 0, 2: 0, 4: 0}  # store sites passed so far, by width
     k = 0  # memory-site index (window slot)
+    #: ``(K, C, KL, KS)`` at each checkpoint boundary (segment bodies).
+    bounds = [(0, 0, dict(KL), dict(KS))]
 
-    def emit_checkpoint(idx, eip):
-        """Countdown checkpoint (prefix bodies): exit at the boundary
-        with exact architectural state once the admitted budget runs
-        out.  Reads ``K``/``C``/``KL``/``KS`` at call time, i.e. the
-        state *after* the item the cut follows."""
+    def emit_checkpoint(idx):
+        """Checkpoint (segment bodies): exit at the boundary with exact
+        architectural state when it is the admitted ``last``, else spill
+        every register into its local and open the next chunk, which a
+        resumed dispatch may enter directly.  Reads ``K``/``C``/``KL``/
+        ``KS`` at call time, i.e. the state *after* the item the cut
+        follows."""
         if cuts is None or not cuts[idx]:
             return
-        em.emit("n -= 1")
-        em.emit("if not n:")
-        emit_exit(em.indent + 1, eip, K, C, dict(KL), dict(KS))
+        number = len(bounds)
+        em.emit("if last == %d:" % number)
+        emit_exit(em.indent + 1, _boundary_eip(items[idx]), K, C, dict(KL), dict(KS))
+        bounds.append((K, C, dict(KL), dict(KS)))
+        em.materialize_all()
+        if any(cuts[idx + 1:]):
+            out.emit(1, "if first <= %d:" % number)
+        else:
+            em.indent = 1  # the final chunk runs on every entry
 
     for idx, item in enumerate(items):
         kind = item[0]
@@ -1351,7 +1414,7 @@ def generate_trace(trace, fast=False, prefix=False):
                 # the interpreter records it on re-execution).
                 em.emit("CF.record_edge(%d, %d)" % (address, item[4]))
                 C += CFA_EDGE_CYCLES
-            emit_checkpoint(idx, item[4])
+            emit_checkpoint(idx)
             continue
         if kind == "jmp":
             K += 1
@@ -1359,7 +1422,7 @@ def generate_trace(trace, fast=False, prefix=False):
             if idx in trace.cfa:
                 em.emit("CF.record_edge(%d, %d)" % (address, item[3]))
                 C += CFA_EDGE_CYCLES
-            emit_checkpoint(idx, item[3])
+            emit_checkpoint(idx)
             continue
         x = insn.reg
         y = insn.reg2
@@ -1379,8 +1442,9 @@ def generate_trace(trace, fast=False, prefix=False):
                 em.set_const(x, insn.imm)
             elif opcode is Op.MOV:
                 if x != y:
-                    em.set_copy(x, em.value_expr(x, y, need_clean=False))
+                    em.set_copy(x, y)
             elif not flags:
+                em.make_room(x)
                 if opcode in (Op.ADD, Op.SUB):
                     em.apply_add(x, 1 if opcode is Op.ADD else -1, operand(x, y))
                 elif opcode in (Op.ADDI, Op.SUBI):
@@ -1494,7 +1558,7 @@ def generate_trace(trace, fast=False, prefix=False):
                     emit_fl()  # logic clears CF and OF
             K += 1
             C += base_c
-            emit_checkpoint(idx, nxt)
+            emit_checkpoint(idx)
             continue
 
         # -- memory items ----------------------------------------------
@@ -1666,7 +1730,7 @@ def generate_trace(trace, fast=False, prefix=False):
             raise AssertionError("untranslatable op %r at 0x%X" % (opcode, address))
         K += 1
         C += base_c
-        emit_checkpoint(idx, nxt)
+        emit_checkpoint(idx)
 
     if fast:
         # loop-bottom fixpoint, then closed-form accounting: the body
@@ -1717,11 +1781,25 @@ def generate_trace(trace, fast=False, prefix=False):
         emit_slab_hits(1, {}, {}, loop_end=True)
         out.emit(1, "regs.eip = %d" % trace.start)
     else:
-        # linear trace, or the linearized prefix body: a prefix body
-        # that outlives its last checkpoint ran the whole straight
-        # path, so a looping trace's prefix ends back at the head.
+        # linear trace, or the linearized segment body: a segment that
+        # outlives the last checkpoint ran the rest of the straight
+        # path, so a looping trace's segment ends back at the head.
         final_eip = trace.start if trace.looping else trace.exit_eip
         emit_exit(1, final_eip, K, C, dict(KL), dict(KS))
+    if segment:
+        # Entering at boundary ``first`` skips the chunks before it:
+        # offset the cycle/retire tallies and pre-debit the slab hits
+        # every exit credits from the head.
+        entry = [
+            "    p = %r[first]" % (tuple(-c for _, c, _, _ in bounds),),
+            "    ret = %r[first]" % (tuple(-r for r, _, _, _ in bounds),),
+        ]
+        for name_, slot in (("SL", 2), ("SS", 3)):
+            for width in _WIDTHS:
+                skipped = tuple(bound[slot][width] for bound in bounds)
+                if any(skipped):
+                    entry.append("    %s%d.hits -= %r[first]" % (name_, width, skipped))
+        out.lines[entry_at:entry_at] = entry
     return out.source()
 
 
@@ -1746,57 +1824,113 @@ def _trace_namespace(counters):
     }
 
 
-def translate_trace(trace, counters):
+def compile_cached(source, filename, codes):
+    """``compile(source, filename, "exec")`` memoized in ``codes``.
+
+    ``codes`` is one block engine's generated-source -> code-object
+    table, keyed by a 128-bit digest of the source (the body that runs
+    the code keeps the source itself): a body regenerated after a
+    wholesale flush (EA-MPU epoch, CFA generation) re-runs ``exec`` on
+    the cached code instead of compiling again.  It lives on the
+    engine, never at module level, so separate machines never share
+    compiled code.
+    """
+    key = blake2b(source.encode(), digest_size=16).digest()
+    code = codes.get(key)
+    if code is None:
+        if len(codes) >= CODE_CACHE_LIMIT:
+            codes.clear()
+        code = codes[key] = compile(source, filename, "exec")
+    return code
+
+
+def translate_trace(trace, counters, codes):
     """Compile ``trace`` in place: fills ``run``, ``source``, ``windows``,
-    ``checkpoints`` (and ``run_fast`` for provably counted loop bodies
-    that are memory-free or whose every memory EA is loop-invariant,
-    see :func:`_steady_plan`).  The prefix body compiles lazily on
-    first prefix admission (:meth:`TraceJIT._compile_prefix`) - most
-    traces never need one."""
+    ``checkpoints``, ``boundaries`` (and ``run_fast`` for provably counted
+    loop bodies that are memory-free or whose every memory EA is
+    loop-invariant, see :func:`_steady_plan`).  The segment body
+    compiles lazily on first prefix or resume admission
+    (:meth:`TraceJIT._compile_prefix`) - most traces never need one.
+    ``codes`` is the engine's code-object memo (:func:`compile_cached`).
+    """
     namespace = _trace_namespace(counters)
     source = generate_trace(trace)
-    code = compile(source, "<trace@0x%X>" % trace.start, "exec")
-    exec(code, namespace)
+    exec(compile_cached(source, "<trace@0x%X>" % trace.start, codes), namespace)
     mem_sites = sum(
         1 for item in trace.items
         if item[0] == "insn" and item[2].opcode in MEM_OPS
     )
     trace.windows = [None] * mem_sites
     trace.windows2 = [None] * mem_sites
-    trace.checkpoints = _checkpoint_plan(trace.items, trace.cfa)[1]
+    _, trace.checkpoints, eips = _checkpoint_plan(trace.items, trace.cfa)
+    boundaries = {}
+    for number, eip in enumerate(eips, 1):
+        boundaries.setdefault(eip, number)
+    trace.boundaries = boundaries
     trace.source = source
     trace.run = namespace["__trace__"]
     if trace.counter_reg is not None and (
         mem_sites == 0 or _steady_plan(trace.items[:-1]) is not None
     ):
         fast_source = generate_trace(trace, fast=True)
-        fast_code = compile(fast_source, "<trace-fast@0x%X>" % trace.start, "exec")
-        exec(fast_code, namespace)
+        filename = "<trace-fast@0x%X>" % trace.start
+        exec(compile_cached(fast_source, filename, codes), namespace)
         trace.run_fast = namespace["__trace_fast__"]
         trace.source = source + "\n" + fast_source
     return trace
+
+
+class TraceCache(BlockCache):
+    """Traces by head EIP, plus the resume lookup: every cached trace's
+    checkpoint boundaries by EIP, dropped and flushed with the trace."""
+
+    def __init__(self, index):
+        super().__init__(index, "trace")
+        #: Boundary EIP -> the cached trace a resume may enter there.
+        self.boundaries = {}
+
+    def put(self, trace):
+        super().put(trace)
+        for eip in trace.boundaries:
+            self.boundaries.setdefault(eip, trace)
+
+    def drop(self, start):
+        trace = self.entries[start]
+        super().drop(start)
+        for eip in trace.boundaries:
+            if self.boundaries.get(eip) is trace:
+                del self.boundaries[eip]
+
+    def flush(self):
+        super().flush()
+        self.boundaries.clear()
 
 
 class TraceJIT:
     """Trace dispatcher: edge profile, trace cache, horizon admission.
 
     Owned by the :class:`~repro.perf.translate.BlockEngine` (dispatch
-    order per step: trace, then block, then single-step).  The engine
-    consults it only after its own refusal checks (trace hook,
-    watchpoints, decision cache present, epoch synced); the JIT adds
-    one of its own - a ``transfer_hook`` (CFI-style) must observe every
-    control transfer, and stitched branches would bypass it.
+    order per step: trace head, then a resume segment, then block, then
+    single-step).  The engine consults it only after its own refusal
+    checks (trace hook, watchpoints, decision cache present, epoch
+    synced); the JIT adds one of its own - a ``transfer_hook``
+    (CFI-style) must observe every control transfer, and stitched
+    branches would bypass it.
     """
 
     def __init__(self, engine, cpu):
         self.engine = engine
         self.cpu = cpu
-        self.cache = BlockCache(cpu.spans, "trace")
+        self.cache = TraceCache(cpu.spans)
         self.profile = EdgeProfile()
         self.counters = TraceCounters()
         #: Exit address of the last trace/block execution; the next
         #: dispatch at a *different* address closes the edge.
         self.pending_edge = None
+        #: Whether this dispatch ran a trace only up to a checkpoint (its
+        #: exit is the event horizon's, not the code's); reset by
+        #: :meth:`dispatch`, which every engine dispatch calls first.
+        self.cut = False
 
     def epoch_flush(self, reason="mpu-epoch"):
         """Drop all traces and profiles (EA-MPU rule-table epoch moved,
@@ -1828,7 +1962,7 @@ class TraceJIT:
             marker.spans = ((eip, eip + (head.length if head is not None else 1)),)
             cache.put(marker)
             return
-        translate_trace(trace, self.counters)
+        translate_trace(trace, self.counters, self.engine.codes)
         cache.put(trace)
         self.counters.compiles.add()
         obs = self.engine.obs
@@ -1844,12 +1978,13 @@ class TraceJIT:
             )
 
     def dispatch(self, cpu, eip):
-        """Run the trace at ``eip`` if present and admitted.
+        """Run the trace headed at ``eip`` if present and admitted.
 
         Returns the cycles charged, or ``None`` to fall through to the
         block tier.  Also consumes the pending exit edge (building a
         new trace when the edge crosses the hot threshold).
         """
+        self.cut = False
         pending = self.pending_edge
         if pending is not None and pending != eip:
             self.pending_edge = None
@@ -1874,7 +2009,9 @@ class TraceJIT:
                     # Not even one whole iteration fits before an IRQ
                     # can become pending: admit a checkpoint prefix of
                     # a single iteration instead of falling back a tier.
-                    return self._dispatch_prefix(cpu, trace, limit)
+                    return self._dispatch_segment(
+                        cpu, trace, 0, limit - clock.now, counters.admits_prefix
+                    )
                 if iters > MAX_LOOP_ITERS:
                     iters = MAX_LOOP_ITERS
             cache.stats.hits += 1
@@ -1899,7 +2036,9 @@ class TraceJIT:
         if limit is not None and clock.now + trace.iter_cost > limit:
             # The whole straight path does not fit: admit its largest
             # checkpoint prefix instead.
-            return self._dispatch_prefix(cpu, trace, limit)
+            return self._dispatch_segment(
+                cpu, trace, 0, limit - clock.now, counters.admits_prefix
+            )
         cache.stats.hits += 1
         counters.admits_full.add()
         before = clock.now
@@ -1907,41 +2046,72 @@ class TraceJIT:
         self.pending_edge = cpu.regs.eip
         return clock.now - before
 
-    def _compile_prefix(self, trace):
-        """Lazily compile the horizon-split prefix body (most traces
-        never need one, so :func:`translate_trace` skips it)."""
-        namespace = _trace_namespace(self.counters)
-        source = generate_trace(trace, prefix=True)
-        code = compile(source, "<trace-prefix@0x%X>" % trace.start, "exec")
-        exec(code, namespace)
-        run_prefix = namespace["__trace_prefix__"]
-        trace.run_prefix = run_prefix
-        trace.source = (trace.source or "") + "\n" + source
-        return run_prefix
+    def resume(self, cpu, eip):
+        """Re-enter a cached trace at checkpoint boundary ``eip``.
 
-    def _dispatch_prefix(self, cpu, trace, limit):
-        """Admit the largest checkpoint prefix of one body iteration.
+        Called by the engine for a dispatch that resumes an interrupted
+        task (or one of the few single steps after it) and found no
+        trace headed at ``eip``.  Runs the largest segment from the
+        boundary that fits the horizon; returns the cycles charged, or
+        ``None`` when no cached trace has a boundary at ``eip`` or not
+        even its next checkpoint fits.
+        """
+        trace = self.cache.boundaries.get(eip)
+        if trace is None:
+            return None
+        first = trace.boundaries[eip]
+        horizon = self.engine.horizon
+        limit = horizon() if horizon is not None else None
+        budget = None if limit is None else limit - cpu.clock.now
+        return self._dispatch_segment(cpu, trace, first, budget, self.counters.admits_resume)
+
+    def _compile_prefix(self, trace):
+        """Lazily compile the segment body (most traces never need one,
+        so :func:`translate_trace` skips it)."""
+        namespace = _trace_namespace(self.counters)
+        source = generate_trace(trace, segment=True)
+        filename = "<trace-segment@0x%X>" % trace.start
+        exec(compile_cached(source, filename, self.engine.codes), namespace)
+        trace.run_segment = namespace["__trace_segment__"]
+        trace.source = (trace.source or "") + "\n" + source
+        return trace.run_segment
+
+    def _segment_end(self, trace, first, budget):
+        """The boundary a segment entered at ``first`` may run to.
 
         ``trace.checkpoints`` holds the exact cumulative cycle cost at
-        each countdown checkpoint, strictly increasing, so one bisect
-        finds how many checkpoints fit before the horizon.  Zero means
-        the dispatch falls back a tier (counted as a reject *and* an
-        engine deferral, like the old whole-body refusal).
+        each checkpoint, strictly increasing, so one bisect finds the
+        last checkpoint that fits ``budget`` cycles past boundary
+        ``first``; the path's end counts as the boundary after the
+        last checkpoint (``None`` = no horizon).  A result not past
+        ``first`` means nothing fits.
         """
-        counters = self.counters
-        clock = cpu.clock
-        n = bisect_right(trace.checkpoints, limit - clock.now)
-        if n <= 0:
-            counters.admits_reject.add()
+        checkpoints = trace.checkpoints
+        if budget is None:
+            return len(checkpoints) + 1
+        reach = budget + (checkpoints[first - 1] if first else 0)
+        if reach >= trace.iter_cost:
+            return len(checkpoints) + 1
+        return bisect_right(checkpoints, reach)
+
+    def _dispatch_segment(self, cpu, trace, first, budget, admitted):
+        """Admit the largest segment from boundary ``first``.
+
+        ``admitted`` counts the dispatch (prefix or resume).  When not
+        even the next checkpoint fits, the dispatch falls back a tier,
+        counted as a reject *and* an engine deferral.
+        """
+        last = self._segment_end(trace, first, budget)
+        if last <= first:
+            self.counters.admits_reject.add()
             self.engine.deferrals.add()
             return None
-        run_prefix = trace.run_prefix
-        if run_prefix is None:
-            run_prefix = self._compile_prefix(trace)
         self.cache.stats.hits += 1
-        counters.admits_prefix.add()
+        admitted.add()
+        self.cut = last <= len(trace.checkpoints)
+        clock = cpu.clock
         before = clock.now
-        run_prefix(cpu, trace, n)
+        (trace.run_segment or self._compile_prefix(trace))(cpu, trace, first, last)
         self.pending_edge = cpu.regs.eip
         return clock.now - before
 
@@ -1959,16 +2129,14 @@ class TraceJIT:
             return
         if cpu.regs.eip != trace.start:
             return  # guard exit or self-modification abort mid-body
-        clock = cpu.clock
-        if limit - clock.now >= trace.iter_cost:
+        budget = limit - cpu.clock.now
+        if budget >= trace.iter_cost:
             # A whole iteration still fits (counted loop ran out of
             # counter, not budget): leave it to the next dispatch.
             return
-        n = bisect_right(trace.checkpoints, limit - clock.now)
-        if n <= 0:
+        last = self._segment_end(trace, 0, budget)
+        if last <= 0:
             return
-        run_prefix = trace.run_prefix
-        if run_prefix is None:
-            run_prefix = self._compile_prefix(trace)
         self.counters.admits_prefix.add()
-        run_prefix(cpu, trace, n)
+        self.cut = True
+        (trace.run_segment or self._compile_prefix(trace))(cpu, trace, 0, last)

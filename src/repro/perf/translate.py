@@ -53,8 +53,11 @@ from repro.perf.traces import (
     _M,
     _SIGN,
     _SITE_WIDTH,
+    CHECKPOINT_INSNS,
     TraceJIT,
+    _decode_at,
     _Source,
+    compile_cached,
 )
 
 #: Instructions that write their ``reg`` operand (kills a known const).
@@ -451,12 +454,14 @@ def generate(block):
     return out.source()
 
 
-def translate(block):
-    """Compile ``block`` in place: fills ``run``, ``source``, ``windows``."""
+def translate(block, codes):
+    """Compile ``block`` in place: fills ``run``, ``source``, ``windows``.
+
+    ``codes`` is the engine's code-object memo
+    (:func:`~repro.perf.traces.compile_cached`)."""
     source = generate(block)
     namespace = {"slow_load": _slow_load, "slow_store": _slow_store}
-    code = compile(source, "<block@0x%X>" % block.start, "exec")
-    exec(code, namespace)
+    exec(compile_cached(source, "<block@0x%X>" % block.start, codes), namespace)
     block.windows = [None] * sum(
         1 for _, insn in block.insns if insn.opcode in MEM_OPS
     )
@@ -599,6 +604,16 @@ class BlockEngine:
       the event horizon - the earliest cycle any IRQ can become
       pending - so the poll/deliver point after the block observes
       exactly the state single-stepping would have produced.
+
+    Heat counts *entries*: an address strictly inside a cached block or
+    trace earns heat only when a single-stepped control transfer lands
+    on it (a loop head inside a compiled body) or a compiled body exits
+    there on its own (a trace's end, an MMIO or self-modification
+    abort).  A resumed task, single-step fall-through and a trace
+    segment cut at the event horizon never heat it - a resume
+    re-enters a cached trace at a checkpoint boundary instead
+    (:meth:`~repro.perf.traces.TraceJIT.resume`).  A discovered block
+    compiles on its first horizon-admitted dispatch.
     """
 
     def __init__(self, cpu, horizon=None, traces=True):
@@ -615,6 +630,23 @@ class BlockEngine:
         self.translations = Counter("block-translations")
         self.executions = Counter("block-executions")
         self.deferrals = Counter("block-horizon-deferrals")
+        #: Generated-source digest -> code object, for every block and
+        #: trace body this engine compiles (per CPU: never shared
+        #: between machines; see ``compile_cached``).
+        self.codes = {}
+        #: EIP of the previous dispatch when it single-stepped, else
+        #: ``None`` (a compiled body ran): tells a single-stepped
+        #: control transfer from sequential fall-through.
+        self._stepped = None
+        #: Whether the previous dispatch ran a trace only up to a horizon
+        #: checkpoint (its exit is the horizon's, not an entry).
+        self._cut = False
+        #: Dispatches left in the current resume window.
+        self._resume_left = 0
+        #: ``_inside_body`` answers by EIP, valid for span-index version
+        #: ``_inside_version`` (any body added or dropped clears them).
+        self._inside = {}
+        self._inside_version = None
         #: CFA enrolment generation the cached traces were built under
         #: (trace bodies embed hash updates for the enrolled regions,
         #: so an enrolment change flushes them like an MPU epoch move).
@@ -684,33 +716,50 @@ class BlockEngine:
             # so the whole perf tier deoptimises to the interpreter.
             return None
         eip = cpu.regs.eip
+        resumed = cpu.resumed
+        if resumed:
+            # The resume point may re-enter a cached trace, or the single
+            # steps to the next checkpoint boundary (at most this many
+            # instructions apart) may.
+            cpu.resumed = False
+            window = CHECKPOINT_INSNS
+        else:
+            window = self._resume_left
+        charged = self._dispatch(cpu, eip, resumed, window > 0)
+        if charged is None:
+            self._stepped = eip
+            self._cut = False
+            self._resume_left = window - 1 if window else 0
+        else:
+            self._stepped = None
+            self._cut = jit is not None and jit.cut
+            self._resume_left = 0
+        return charged
+
+    def _dispatch(self, cpu, eip, resumed, in_window):
+        """:meth:`try_execute` past its refusal checks: trace head,
+        resume segment, then block (discovering and compiling it)."""
+        jit = self.traces
         if jit is not None:
             charged = jit.dispatch(cpu, eip)
+            if charged is None and in_window:
+                charged = jit.resume(cpu, eip)
             if charged is not None:
                 return charged
+        cache = self.cache
         block = cache.entries.get(eip)
         stats = cache.stats
         if block is None:
             stats.misses += 1
+            if not (self._entry(eip) and not resumed) and self._inside_body(eip):
+                return None
             if not cache.note_miss(eip):
                 return None
-            block = discover(memory, eip)
-            if block.insns:
-                translate(block)
-                self.translations.add()
-                if self.obs is not None:
-                    self.obs.publish(
-                        "perf",
-                        "block-translate",
-                        start=block.start,
-                        end=block.end,
-                        insns=len(block.insns),
-                        cost=block.cost,
-                    )
+            block = discover(cpu.memory, eip)
             cache.put(block)
-            if block.run is None:
+            if not block.insns:
                 return None
-        elif block.run is None:
+        elif not block.insns:
             stats.misses += 1
             return None
         else:
@@ -724,6 +773,18 @@ class BlockEngine:
                 # becomes pending: single-step up to it instead.
                 self.deferrals.add()
                 return None
+        if block.run is None:
+            translate(block, self.codes)
+            self.translations.add()
+            if self.obs is not None:
+                self.obs.publish(
+                    "perf",
+                    "block-translate",
+                    start=block.start,
+                    end=block.end,
+                    insns=len(block.insns),
+                    cost=block.cost,
+                )
         before = clock.now
         self.executions.add()
         block.run(cpu, block)
@@ -733,3 +794,34 @@ class BlockEngine:
             # profile edge for the trace builder.
             jit.pending_edge = cpu.regs.eip
         return clock.now - before
+
+    def _inside_body(self, eip):
+        """Whether ``eip`` lies strictly inside a cached block or trace
+        (discovered or compiled; markers do not count)."""
+        spans = self.cpu.spans
+        if self._inside_version != spans.version:
+            self._inside = {}
+            self._inside_version = spans.version
+        inside = self._inside.get(eip)
+        if inside is None:
+            caches = (self.cache, None if self.traces is None else self.traces.cache)
+            inside = self._inside[eip] = any(
+                key != eip and owner in caches and not owner.entries[key].is_marker()
+                for owner, key in spans.owners(eip)
+            )
+        return inside
+
+    def _entry(self, eip):
+        """Whether the previous dispatch entered ``eip``: a compiled
+        body exited there on its own, or a single-stepped control
+        transfer (not sequential fall-through) landed there."""
+        if self._cut:
+            return False
+        stepped = self._stepped
+        if stepped is None:
+            return True
+        insns = self.cpu.insn_cache
+        insn = None if insns is None else insns.peek(stepped)
+        if insn is None:
+            insn = _decode_at(self.cpu.memory, stepped)
+        return insn is None or stepped + insn.length != eip

@@ -62,11 +62,11 @@ class Scheduler:
             self.current = None
 
     def _discard(self, task):
+        # Probe first: a failed ``deque.remove`` formats ``repr(task)``
+        # into its ValueError, once per level it misses.
         for level in self._ready:
-            try:
+            if task in level:
                 level.remove(task)
-            except ValueError:
-                pass
         self._delayed = [(t, tcb) for t, tcb in self._delayed if tcb is not task]
 
     # -- state transitions -----------------------------------------------------

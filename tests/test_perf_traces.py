@@ -76,6 +76,27 @@ patch:
 """
 
 
+#: ``mov ebp, edi`` copies edi's pending chain ``(edi + esi)`` while
+#: esi's own pending chain reads ebp: spilling the chains that read
+#: ebp's local reassigns esi and edi, so the copy must be rendered after
+#: that spill, not before.
+_MOV_SPILL_SOURCE = """\
+start:
+    movi ecx, 50
+    movi esi, 3
+    movi edi, 5
+    movi ebp, 7
+loop:
+    shli ebp, 12
+    add edi, esi
+    add esi, ebp
+    mov ebp, edi
+    subi ecx, 1
+    jnz loop
+    hlt
+"""
+
+
 def _pair(source, irq=False):
     """(block-tier-only snapshot, traces snapshot, traced cpu)."""
     ablated, ablated_timer = _build_mode_rig(source, "blocks", irq=irq)
@@ -106,6 +127,13 @@ class TestDifferential:
         ]
         assert fast, "counted ALU loop should compile an unrolled fast body"
         assert fast[0].counter_reg == 1  # ecx
+
+    def test_mov_rendered_after_the_spill_it_forces(self):
+        # Regression: ebp got the post-spill ``edi + esi`` (found by the
+        # resume-into-trace CFA property, at every trace body kind).
+        plain, traced, cpu = _pair(_MOV_SPILL_SOURCE)
+        assert plain == traced
+        assert _trace_stats(cpu)["compiles"] > 0
 
     def test_guard_side_exit_identical(self):
         plain, traced, cpu = _pair(_GUARD_FLIP_SOURCE)

@@ -11,7 +11,12 @@ tier's closed-form bulk recording and the interpreter's per-edge
 recording must commit to exactly the same path, even when interrupts
 land mid-loop.
 
-A second property pins the recorder's bulk contract directly:
+A second property resumes every interrupt mid-trace: the tick handler
+returns into the middle of the loop's cached trace instead of the
+interrupted instruction, so the trace tier re-enters it through its
+segment body - with CFA recording on and off.
+
+A third property pins the recorder's bulk contract directly:
 ``record_run(src, dst, n)`` interleaved with preemption-style seals is
 exactly equivalent to ``n`` single records with the same seals.
 """
@@ -67,14 +72,14 @@ def _program(body, iterations, data_base):
     return "\n".join(lines) + "\n"
 
 
-def _run(source, *, fastpath, blocks, traces, tick_period):
+def _boot(source, *, fastpath, blocks, traces, tick_period, cfa=True):
+    """A platform running ``source`` (timer stopped) and its recorder."""
     platform = Platform(
         MachineConfig(
             blocks=blocks, traces=traces, fastpath=fastpath, tick_period=tick_period
         )
     )
     base = platform.config.task_ram_base
-    data_base = base + 0x4000
     image = link(assemble(source), stack_size=64)
     handler = base + link(assemble(source), entry_symbol="irq_handler", stack_size=64).entry
     blob = bytearray(image.blob)
@@ -86,27 +91,45 @@ def _run(source, *, fastpath, blocks, traces, tick_period):
     cpu = platform.cpu
     cpu.regs.eip = base + image.entry
     cpu.regs.esp = base + 0x8000
-    recorder = PathRecorder(segment_runs=8)
-    cpu.cfa = CfaCore(platform.clock)
-    cpu.cfa.attach_region(base, base + len(image.blob), recorder)
-    platform.tick_timer.start(platform.clock.now)
-    entry = platform.run_isa_until_event(max_cycles=500_000)
-    assert entry.kind == "halt"
-    recorder.seal()
-    return {
-        "digest": recorder.path_digest(),
-        "edges": recorder.edges,
-        "sealed": recorder.sealed,
-        "dropped": recorder.dropped,
-        "segments": [(s.index, s.runs, s.digest) for s in recorder.segments],
+    recorder = None
+    if cfa:
+        recorder = PathRecorder(segment_runs=8)
+        cpu.cfa = CfaCore(platform.clock)
+        cpu.cfa.attach_region(base, base + len(image.blob), recorder)
+    return platform, recorder
+
+
+def _outcome(platform, recorder):
+    cpu = platform.cpu
+    outcome = {
         "retired": cpu.retired,
         "cycles": platform.clock.now,
         "gpr": list(cpu.regs.gpr),
         "eip": cpu.regs.eip,
         "eflags": cpu.regs.eflags,
-        "data": platform.memory.read_raw(data_base, 0x100),
+        "data": platform.memory.read_raw(platform.config.task_ram_base + 0x4000, 0x100),
         "ticks": platform.tick_timer.ticks,
     }
+    if recorder is not None:
+        recorder.seal()
+        outcome.update(
+            digest=recorder.path_digest(),
+            edges=recorder.edges,
+            sealed=recorder.sealed,
+            dropped=recorder.dropped,
+            segments=[(s.index, s.runs, s.digest) for s in recorder.segments],
+        )
+    return outcome
+
+
+def _run(source, *, fastpath, blocks, traces, tick_period):
+    platform, recorder = _boot(
+        source, fastpath=fastpath, blocks=blocks, traces=traces, tick_period=tick_period
+    )
+    platform.tick_timer.start(platform.clock.now)
+    entry = platform.run_isa_until_event(max_cycles=500_000)
+    assert entry.kind == "halt"
+    return _outcome(platform, recorder)
 
 
 _TIERS = (
@@ -134,6 +157,48 @@ def test_path_evidence_identical_across_tiers_under_random_irqs(
         assert other == baseline, config
     if baseline["cycles"] > 2 * tick_period:
         assert baseline["ticks"] > 0
+
+
+def _resume_program(body, resume, data_base):
+    """A loop that never exits in time; its tick handler returns to body
+    instruction ``resume`` (inside the loop's trace), not to the
+    interrupted one.  Too short for a block, the handler runs nothing
+    compiled between the IRET and the resume."""
+    lines = ["start:", "movi ebx, %d" % data_base, "movi ecx, 0x7FFFFFFF", "sti", "loop:"]
+    for index, insn in enumerate(body):
+        if index == resume:
+            lines.append("resume:")
+        lines.append(insn)
+    lines += ["subi ecx, 1", "jnz loop", "cli", "hlt"]
+    lines += ["irq_handler:", "pop ebp", "pushi resume", "iret"]
+    return "\n".join(lines) + "\n"
+
+
+def _run_resumed(source, tick_period, cfa, config):
+    """Warm the loop's trace with the timer stopped, then let every tick
+    resume mid-trace for a fixed cycle budget; returns the outcome and
+    the block engine."""
+    platform, recorder = _boot(source, tick_period=tick_period, cfa=cfa, **config)
+    platform.run_isa_until_event(max_cycles=4_000)
+    platform.tick_timer.start(platform.clock.now)
+    platform.run_isa_until_event(max_cycles=30 * tick_period)
+    return _outcome(platform, recorder), platform.cpu.block_engine
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    body=st.lists(_insn, min_size=6, max_size=20),
+    resume=st.integers(min_value=1, max_value=19),
+    tick_period=st.integers(min_value=60, max_value=600),
+    cfa=st.booleans(),
+)
+def test_resume_into_cached_trace_identical_across_tiers(body, resume, tick_period, cfa):
+    """All four tiers end in the same architectural state and, with CFA
+    on, the same path evidence."""
+    source = _resume_program(body, resume % len(body) or 1, 0x0010_4000)
+    outcomes = [_run_resumed(source, tick_period, cfa, config)[0] for config in _TIERS]
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    assert outcomes[0]["ticks"] > 0
 
 
 _run_item = st.tuples(
