@@ -121,6 +121,10 @@ def call_order(functions):
 
     for entry in sorted(functions):
         visit(entry)
+    # ``visit`` reaches itself through its closure cell: deleting it
+    # breaks that cycle, which would otherwise keep every function,
+    # block and instruction of the image alive until the cyclic GC runs.
+    del visit
     return order, recursive
 
 

@@ -26,11 +26,11 @@ cycle accounting are identical with it on or off:
 
 On top of the fast path sits an optional *block-translation tier*
 (:meth:`CPU.enable_blocks`): hot straight-line runs are compiled into
-single Python closures with hoisted EA-MPU checks and one batched
-cycle-counter update, and a block only runs when its whole static
-cycle cost fits before the next event horizon - so interrupts are
-still delivered on exactly the same instruction boundary as
-single-stepping (see :mod:`repro.perf.blocks`).
+Python functions with hoisted EA-MPU checks and batched cycle-counter
+updates, and a block only runs as far as its static cycle cost fits
+before the next event horizon (whole, or up to a checkpoint) - so
+interrupts are still delivered on exactly the same instruction
+boundary as single-stepping (see :mod:`repro.perf.blocks`).
 """
 
 from __future__ import annotations
@@ -139,8 +139,9 @@ class CPU:
         ``horizon`` is an optional callable returning the earliest
         absolute cycle at which an IRQ can become pending (usually
         :meth:`repro.hw.clock.CycleClock.next_event_horizon`); a block
-        whose static cycle cost does not fit before it falls back to
-        single-stepping.  With no horizon, blocks always run - only
+        whose static cycle cost does not fit before it runs only up to
+        its last checkpoint that does, or falls back to single-stepping.
+        With no horizon, blocks always run whole - only
         correct when nothing raises IRQs between instructions, which is
         the caller's contract (bench rigs without timers).
 

@@ -274,7 +274,7 @@ class PhysicalMemory:
         self._watchpoints = []
         self._write_listeners = []
         #: Pages (address >> :data:`SNOOP_PAGE_SHIFT`) that ever held a
-        #: cached code artifact (decoded instructions, superblocks,
+        #: cached code artifact (decoded instructions, blocks,
         #: traces).  The code caches' span index
         #: (:class:`repro.perf.spans.SpanIndex`) records every page a
         #: cached body's bytes touch here, so a translated store fast

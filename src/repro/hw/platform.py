@@ -60,16 +60,18 @@ class MachineConfig:
         #: verdict memo, region last-hit).  Wall-clock only; simulated
         #: behaviour is identical either way.
         self.fastpath = fastpath
-        #: Enable the block-translation tier on top of the fast path
-        #: (superblock execution with hoisted EA-MPU checks, bounded by
-        #: the event horizon).  Wall-clock only; simulated behaviour is
-        #: bit-identical either way.  Ignored when ``fastpath`` is off.
+        #: Enable the compiled tiers on top of the fast path: hot
+        #: straight-line blocks compiled by the trace emitter with
+        #: hoisted EA-MPU checks, each running whole or up to a
+        #: checkpoint that fits before the event horizon.  Wall-clock
+        #: only; simulated behaviour is bit-identical either way.
+        #: Ignored when ``fastpath`` is off.
         self.blocks = blocks
-        #: Enable the trace-recording JIT on top of the block tier (hot
+        #: Enable trace stitching on top of the blocks (hot
         #: block-to-block edges stitched into guarded multi-block
-        #: traces; see :mod:`repro.perf.traces`).  Wall-clock only;
-        #: simulated behaviour is bit-identical either way.  Ignored
-        #: when ``blocks`` is off.
+        #: traces; see :mod:`repro.perf.traces`); off, only blocks are
+        #: compiled.  Wall-clock only; simulated behaviour is
+        #: bit-identical either way.  Ignored when ``blocks`` is off.
         self.traces = traces
         #: Enable the observability bus (repro.obs).  Observation only;
         #: simulated behaviour is bit-identical either way.
@@ -201,7 +203,7 @@ class Platform:
         self.engine = ExceptionEngine(self.memory, cfg.idt_base)
         self.cpu.attach_engine(self.engine)
 
-        # -- block-translation tier: superblocks may only run inside the
+        # -- block-translation tier: compiled code may only run inside the
         #    event horizon (earliest device event or the current slice
         #    deadline), so interrupt delivery lands on exactly the same
         #    instruction boundary as single-stepping ---------------------
@@ -349,7 +351,7 @@ class Platform:
         """
         deadline = None if max_cycles is None else self.clock.now + max_cycles
         # The slice deadline caps the event horizon while this loop
-        # runs: a superblock may not carry execution past the point
+        # runs: compiled code may not carry execution past the point
         # where single-stepping would have ended the slice.
         self._slice_deadline = deadline
         try:

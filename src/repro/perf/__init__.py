@@ -18,16 +18,19 @@ cache structures shared by the CPU, the EA-MPU, and the memory map:
   invalidated by the MPU's epoch counter (bumped on every
   ``program_slot``/``clear_slot``);
 * :mod:`repro.perf.blocks` / :mod:`repro.perf.translate` - the
-  block-translation tier: hot straight-line superblocks compiled to
-  single Python closures with hoisted EA-MPU checks and batched cycle
-  charging, admitted only when they fit inside the event horizon
-  (``CycleClock.next_event_horizon``).  Exposed lazily here to keep the
-  package import-light (``repro.hw.memory`` imports this package);
-* :mod:`repro.perf.traces` - the trace-recording JIT stacked on the
-  block tier: hot block-to-block edges stitched into multi-block traces
-  with guarded side exits, registers held in Python locals, counted
-  loops unrolled, and loads/stores served by direct memory-slab
-  indexing inside the hoisted allow windows.  Also exposed lazily.
+  block tier: hot straight-line blocks, each a linear
+  :class:`~repro.perf.blocks.Trace`, compiled by the trace emitter with
+  hoisted EA-MPU checks and batched cycle charging.  Exposed lazily
+  here to keep the package import-light (``repro.hw.memory`` imports
+  this package);
+* :mod:`repro.perf.traces` - the one code generator and the JIT
+  stacked on the block tier: hot block-to-block edges stitched into
+  multi-block traces with guarded side exits, registers held in Python
+  locals, counted loops unrolled, and loads/stores served by direct
+  memory-slab indexing inside the hoisted allow windows.  Every
+  compiled body - block or trace - runs only as far as fits inside the
+  event horizon (``CycleClock.next_event_horizon``): whole, or up to a
+  checkpoint.  Also exposed lazily.
 
 The invariant all of these preserve: **caches change wall-clock speed
 only, never simulated semantics**.  Faults, fault logs, trace and
@@ -46,7 +49,6 @@ __all__ = [
     "DecodedInsnCache",
     "MPUDecisionCache",
     "SpanIndex",
-    "SuperBlock",
     "Trace",
     "TraceJIT",
 ]
@@ -55,7 +57,7 @@ __all__ = [
 def __getattr__(name):
     # Lazy exports: repro.hw.memory imports this package, and the block
     # modules import repro.hw.memory, so eager imports here would cycle.
-    if name in ("BlockCache", "SuperBlock"):
+    if name in ("BlockCache", "Trace"):
         from repro.perf import blocks
 
         return getattr(blocks, name)
@@ -63,8 +65,8 @@ def __getattr__(name):
         from repro.perf.translate import BlockEngine
 
         return BlockEngine
-    if name in ("Trace", "TraceJIT"):
-        from repro.perf import traces
+    if name == "TraceJIT":
+        from repro.perf.traces import TraceJIT
 
-        return getattr(traces, name)
+        return TraceJIT
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -5,7 +5,7 @@ rigs (one per mode) and reports wall-clock instructions/sec, the
 speedups, and the cache hit rates:
 
 * ``alu`` - a long straight-line ALU loop: the block translator's best
-  case (one superblock per iteration, all flag writes dead except the
+  case (one block per iteration, all flag writes dead except the
   loop counter's).
 * ``mem`` - a load/store-heavy loop: every iteration pays data-access
   EA-MPU checks, so this is the workload that exercises the
@@ -18,7 +18,7 @@ speedups, and the cache hit rates:
   the same instruction boundary in every mode).
 
 The modes are ``baseline`` (every cache off), ``fastpath`` (PR 1's
-caches), ``blocks`` (fast path plus the superblock tier, trace JIT
+caches), ``blocks`` (fast path plus the block tier, trace JIT
 ablated), and ``traces`` (the full stack with the trace-recording
 JIT).  All runs of one workload must be *architecturally identical* - same
 retired count, same simulated cycles, same registers, memory, fault
@@ -52,7 +52,7 @@ OTHER_BASE = 0x8000
 IDT_BASE = 0x0
 
 #: The execution modes, cheapest-configured first.  ``blocks`` runs the
-#: superblock tier with the trace JIT disabled (the ablation the trace
+#: block tier with the trace JIT disabled (the ablation the trace
 #: speedup is measured against); ``traces`` stacks the trace-recording
 #: JIT on top.
 MODES = ("baseline", "fastpath", "blocks", "traces")

@@ -1,16 +1,17 @@
-"""The trace-JIT's counter bundle.
+"""The JIT's counter bundle.
 
-:class:`TraceCounters` groups the trace tier's :mod:`repro.obs.counters`
+:class:`TraceCounters` groups the JIT's :mod:`repro.obs.counters`
 instances for registration with a
 :class:`~repro.obs.counters.CounterRegistry` (every platform exposes
-one at ``platform.obs.counters``).  The trace tier's behaviour is
-otherwise invisible by design (bit-identical architectural state), so
-these counters are the only way ``repro.tools.trace`` summaries and
-benches can show what the JIT actually did: how many traces were
-compiled and flushed, how often guards bailed to the interpreter, how
-horizon admission split between whole bodies, prefix checkpoints and
-resumed segments, and what fraction of translated loads/stores (per access width) hit the
-direct memory-slab fast path.
+one at ``platform.obs.counters``).  Compiled code is otherwise
+invisible by design (bit-identical architectural state), so these
+counters are the only way ``repro.tools.trace`` summaries and benches
+can show what the JIT actually did: how many traces were compiled and
+flushed, how often guards bailed to the interpreter, how horizon
+admission of every compiled body - block or trace - split between
+whole bodies, prefix checkpoints and resumed segments, and what
+fraction of translated loads/stores (per access width) hit the direct
+memory-slab fast path.
 """
 
 from __future__ import annotations
@@ -19,18 +20,19 @@ from repro.obs.counters import Counter, HitMissCounter
 
 
 class TraceCounters:
-    """The trace-JIT counter bundle, registry-ready.
+    """The JIT counter bundle, registry-ready.
 
     * ``compiles`` - traces stitched and compiled;
     * ``guard_exits`` - side exits taken because a guard's recorded
       branch direction did not match at run time;
     * ``flushes`` - wholesale trace-cache flushes (EA-MPU epoch moves);
     * ``admits_full`` / ``admits_prefix`` / ``admits_resume`` /
-      ``admits_reject`` - event-horizon admission outcomes: the whole
-      body (or whole loop iterations) fit, only a checkpoint prefix fit,
-      a resumed task re-entered a cached trace at a checkpoint boundary
-      and ran the segment from there that fit, or not even the next
-      checkpoint fit (the dispatch fell back a tier);
+      ``admits_reject`` - event-horizon admission outcomes of every
+      block and trace dispatch: the whole body (or whole loop
+      iterations) fit, only a checkpoint prefix fit, a resumed task
+      re-entered a cached body at a checkpoint boundary and ran the
+      segment from there that fit, or not even the next checkpoint fit
+      (the dispatch fell back a tier);
     * ``slab_loads`` / ``slab_stores`` (32-bit) and their ``_u16`` /
       ``_u8`` twins - translated memory accesses served by direct slab
       indexing (hits) vs. the checked slow path, a misaligned-access
@@ -68,12 +70,11 @@ class TraceCounters:
         self.slab_loads_u8 = HitMissCounter("slab-load-u8")
         self.slab_stores_u8 = HitMissCounter("slab-store-u8")
 
-    def all(self):
-        """Every counter, for registration with an obs registry."""
-        return [
-            self.compiles,
-            self.guard_exits,
-            self.flushes,
+    def all(self, stitching=True):
+        """Every counter, for registration with an obs registry; without
+        trace stitching only those blocks feed too (admission, slab)."""
+        stitched = [self.compiles, self.guard_exits, self.flushes] if stitching else []
+        return stitched + [
             self.admits_full,
             self.admits_prefix,
             self.admits_resume,

@@ -2,7 +2,10 @@
 
 The block tier (PR 4) stops compiling at every branch, so block-to-block
 dispatch and per-block entry/exit bookkeeping dominate loop-heavy
-workloads.  This module adds the classic meta-tracing tier on top:
+workloads.  This module adds the classic meta-tracing tier on top, and
+holds the JIT's one code generator (:func:`generate_trace`) and its
+admission logic (:class:`TraceJIT`): a block is compiled and admitted
+as a linear trace whose items are all straight-line instructions.
 
 * the :class:`~repro.perf.translate.BlockEngine` records **hot edges** -
   (branch address, next dispatch address) pairs observed after block
@@ -34,27 +37,27 @@ block tier) re-executes it with full transfer checks, hooks, and fault
 semantics.  The architectural state at a side exit is therefore
 bit-identical to single-stepping up to that branch, by construction.
 
-Event-horizon admission is *granular*: a linear trace whose whole cycle
-cost fits before the horizon runs in full; a looping trace computes how
-many whole iterations fit (``(horizon - now) // iter_cost``) and runs
-at most that many, exiting at the loop head.  What does **not** fit
-whole falls to the *segment body*: every trace also carries a
-checkpoint table (a cut after each stitched branch and every
-:data:`CHECKPOINT_INSNS` straight-line instructions, with its exact
-cumulative cost and boundary EIP) and a third compiled function that
-enters the straight path at one checkpoint boundary and runs exactly
-the largest checkpoint segment from there fitting the remaining
-budget, writing back registers, EFLAGS, the exact cycle/retire charge,
-and the boundary EIP - bit-identical to single-stepping the same
-instructions.  A horizon prefix is the segment entered at the head.
-Interrupt delivery therefore lands on exactly the same instruction
-boundary as single-stepping (the same contract the block tier obeys),
-while the 400-cycle-tick tail that used to single-step now runs at
-trace speed.  The same body serves a task *resumed* mid-trace after an
-interrupt: the engine re-enters the cached trace at the checkpoint
-boundary the task resumes at (or single-steps to within at most
-``CHECKPOINT_INSNS - 1`` instructions), instead of compiling a block
-at the resume point.
+Event-horizon admission is *granular*: a linear body (block or trace)
+whose whole cycle cost fits before the horizon runs in full; a looping
+trace computes how many whole iterations fit (``(horizon - now) //
+iter_cost``) and runs at most that many, exiting at the loop head.
+What does **not** fit whole falls to the *segment body*: every body
+also carries a checkpoint table (a cut after each stitched branch and
+every :data:`~repro.perf.blocks.CHECKPOINT_INSNS` straight-line
+instructions, with its exact cumulative cost and boundary EIP) and a
+third compiled function that enters the straight path at one
+checkpoint boundary and runs exactly the largest checkpoint segment
+from there fitting the remaining budget, writing back registers,
+EFLAGS, the exact cycle/retire charge, and the boundary EIP -
+bit-identical to single-stepping the same instructions.  A horizon
+prefix is the segment entered at the head.  Interrupt delivery
+therefore lands on exactly the same instruction boundary as
+single-stepping, while the 400-cycle-tick tail that used to
+single-step now runs at compiled speed.  The same body serves a task
+*resumed* mid-body after an interrupt: the engine re-enters the cached
+trace or block at the checkpoint boundary the task resumes at (or
+single-steps to within at most ``CHECKPOINT_INSNS - 1``
+instructions), instead of compiling a block at the resume point.
 
 Invalidation mirrors the block cache: the shared
 :class:`~repro.perf.spans.SpanIndex` drops a trace when a write
@@ -79,7 +82,15 @@ from repro.hw.memory import RamRegion
 from repro.isa.encoding import decode
 from repro.isa.opcodes import BASE_CYCLES, CONDITIONAL_BRANCHES, LENGTHS, Op
 from repro.cycles import CFA_EDGE_CYCLES, INSN_BRANCH_TAKEN
-from repro.perf.blocks import ALU_OPS, MEM_OPS, BlockCache, discover
+from repro.perf.blocks import (
+    ALU_OPS,
+    MEM_OPS,
+    BlockCache,
+    Trace,
+    _boundary_eip,
+    _checkpoint_plan,
+    discover,
+)
 from repro.perf.counters import TraceCounters
 
 _M = 0xFFFFFFFF
@@ -127,105 +138,6 @@ _COND_EXPR = {
     Op.JGE: "not (fl >> 7 ^ fl >> 11) & 1",
     Op.JLE: "fl & 64 or (fl >> 7 ^ fl >> 11) & 1",
 }
-
-
-class Trace:
-    """One stitched, compiled trace (or a no-trace marker).
-
-    ``items`` is the flattened path: ``("insn", address, insn)`` for
-    straight-line instructions, ``("guard", address, insn,
-    chosen_taken, target)`` for stitched conditional branches, and
-    ``("jmp", address, insn, target)`` for stitched unconditional
-    jumps.  ``iter_cost``/``iter_retire`` are the exact cycle/retire
-    totals of the full straight path (one iteration, for looping
-    traces) - upper bounds for every admitted execution, which is what
-    the event-horizon test relies on.
-    """
-
-    __slots__ = (
-        "start",
-        "items",
-        "looping",
-        "exit_eip",
-        "iter_cost",
-        "iter_retire",
-        "counter_reg",
-        "windows",
-        "windows2",
-        "spans",
-        "valid",
-        "run",
-        "run_fast",
-        "run_segment",
-        "checkpoints",
-        "boundaries",
-        "cfa",
-        "source",
-    )
-
-    def __init__(self, start, items, looping, exit_eip):
-        self.start = start
-        self.items = items
-        self.looping = looping
-        #: EIP a linear trace exits at (``None`` for looping traces,
-        #: which exit at their own head).
-        self.exit_eip = exit_eip
-        self.iter_cost = 0
-        self.iter_retire = 0
-        #: Loop-counter register proven by the constprop pass, or None.
-        self.counter_reg = None
-        #: Per-memory-site hoisted allow windows, filled at run time:
-        #: ``(lo, hi_minus_size, slab_view, shifted_base)`` or None
-        #: (see :func:`repro.perf.translate._window_tuple`).
-        self.windows = []
-        #: Per-load-site *victim* windows: when a slow load installs a
-        #: fresh window it demotes the old one here, so a site whose EA
-        #: alternates between two regions (a poll flipping between data
-        #: and stack, say) hits slab speed on both instead of thrashing
-        #: the single slot into a slow call every iteration.
-        self.windows2 = []
-        #: ``(lo, hi)`` byte spans the trace was built from (one per
-        #: stitched instruction; a marker's head instruction).
-        self.spans = ()
-        #: Cleared by the write snoop; checked after broadcast stores.
-        self.valid = True
-        #: Compiled ``__trace__(cpu, tr, n)`` (``None`` = marker).
-        self.run = None
-        #: Specialized counted-loop body (guard and dead flags elided).
-        self.run_fast = None
-        #: Segment body ``__trace_segment__(cpu, tr, first, last)``:
-        #: enters the straight path at checkpoint boundary ``first``
-        #: (0 = the head) and exits at boundary ``last`` (past the last
-        #: checkpoint = the path's end).  Compiled lazily on the first
-        #: prefix or resume admission.
-        self.run_segment = None
-        #: Cumulative cycle cost at each checkpoint, in body order
-        #: (strictly increasing; the admission table).
-        self.checkpoints = ()
-        #: Entry-checkpoint table: boundary EIP -> checkpoint number
-        #: (1-based), where a resumed dispatch may enter the segment
-        #: body.
-        self.boundaries = {}
-        #: Item indices whose stitched taken transfer is recorded by
-        #: the CFA monitor (both endpoints inside an enrolled region at
-        #: build time).  The compiled bodies emit the same hash update
-        #: the interpreter performs, and the per-edge cost is baked
-        #: into ``iter_cost``/``checkpoints``; the generation check in
-        #: the block engine flushes traces when enrolment changes.
-        self.cfa = frozenset()
-        self.source = None
-
-    def is_marker(self):
-        """Whether this entry marks a no-trace address."""
-        return not self.items
-
-    def __repr__(self):
-        return "Trace(0x%X, %d items%s%s)" % (
-            self.start,
-            len(self.items),
-            ", looping" if self.looping else "",
-            ", marker" if not self.items else "",
-        )
 
 
 class EdgeProfile:
@@ -306,10 +218,9 @@ def build_trace(memory, head, profile, cfa=None):
             break
         seen.add(pc)
         segment = discover(memory, pc, min_insns=1)
-        end = segment.end if segment.insns else pc
-        for address, insn in segment.insns:
-            items.append(("insn", address, insn))
-        total += len(segment.insns)
+        end = pc if segment.is_marker() else segment.exit_eip
+        items.extend(segment.items)
+        total += len(segment.items)
         segments += 1
         if total > MAX_TRACE_INSNS or segments > MAX_TRACE_BLOCKS:
             exit_eip = end
@@ -351,7 +262,6 @@ def build_trace(memory, head, profile, cfa=None):
         return None
     if not any(item[0] != "insn" for item in items):
         return None  # a single unstitched segment is the block tier's job
-    trace = Trace(head, tuple(items), looping, None if looping else exit_eip)
     flagged = set()
     if cfa is not None:
         for idx, item in enumerate(items):
@@ -361,20 +271,14 @@ def build_trace(memory, head, profile, cfa=None):
             elif item[0] == "guard" and item[3]:
                 if cfa.covers(item[1], item[4]):
                     flagged.add(idx)
-    trace.cfa = frozenset(flagged)
-    cost = 0
-    retire = 0
-    for idx, item in enumerate(items):
-        opcode = item[2].opcode
-        cost += BASE_CYCLES[opcode]
-        retire += 1
-        if item[0] == "jmp" or (item[0] == "guard" and item[3]):
-            cost += INSN_BRANCH_TAKEN
-            if idx in flagged:
-                cost += CFA_EDGE_CYCLES
-    trace.iter_cost = cost
-    trace.iter_retire = retire
-    trace.spans = tuple((item[1], item[1] + item[2].length) for item in items)
+    trace = Trace(
+        head,
+        tuple(items),
+        looping,
+        None if looping else exit_eip,
+        tuple((item[1], item[1] + item[2].length) for item in items),
+        frozenset(flagged),
+    )
     if looping and items[-1][0] == "guard" and items[-1][3]:
         body = items[:-1]
         if all(item[0] == "insn" for item in body):
@@ -814,62 +718,11 @@ _SIZE_MASKS = {1: 0xFF, 2: 0xFFFF}
 #: so hoisted per-site window locals need no per-access ``None`` check.
 _NO_WINDOW = (1, 0, None, 0, None, 0)
 
-#: Straight-line instructions between checkpoints in the segment body
-#: (stitched branches always get one).
-CHECKPOINT_INSNS = 4
-
 #: Generated-source -> code-object memo entries per block engine
 #: (cleared wholesale when exceeded).
 CODE_CACHE_LIMIT = 512
 
 _WIDTHS = (4, 2, 1)
-
-
-def _checkpoint_plan(items, cfa_flags=frozenset()):
-    """Checkpoint placement for the segment body.
-
-    Returns ``(cuts, costs, eips)``: ``cuts[idx]`` marks a checkpoint
-    *after* item ``idx``, ``costs`` holds the exact cumulative cycle
-    cost at each checkpoint in body order (strictly increasing - the
-    dispatcher bisects it against the remaining horizon budget), and
-    ``eips`` the EIP each checkpoint's boundary exits at (and a resumed
-    dispatch may enter at).  A checkpoint lands after every stitched
-    branch and after every :data:`CHECKPOINT_INSNS` straight-line
-    instructions; the final item gets none (the body's own exit
-    already covers the full path).  ``cfa_flags`` (``trace.cfa``) adds
-    the modelled CFA hash-update cost at the flagged stitched
-    transfers, keeping the cumulative table exact when recording is on.
-    """
-    cuts = [False] * len(items)
-    costs = []
-    eips = []
-    cost = 0
-    since = 0
-    last = len(items) - 1
-    for idx, item in enumerate(items):
-        cost += BASE_CYCLES[item[2].opcode]
-        if item[0] == "jmp" or (item[0] == "guard" and item[3]):
-            cost += INSN_BRANCH_TAKEN
-            if idx in cfa_flags:
-                cost += CFA_EDGE_CYCLES
-        since += 1
-        if idx == last:
-            break
-        if item[0] != "insn" or since >= CHECKPOINT_INSNS:
-            cuts[idx] = True
-            costs.append(cost)
-            eips.append(_boundary_eip(item))
-            since = 0
-    return cuts, tuple(costs), eips
-
-
-def _boundary_eip(item):
-    """Where execution continues after ``item`` on the stitched path."""
-    if item[0] == "guard":
-        return item[4]
-    if item[0] == "jmp":
-        return item[3]
-    return item[1] + item[2].length
 
 
 def _steady_plan(items):
@@ -993,8 +846,12 @@ def _simple(text):
 def generate_trace(trace, fast=False, segment=False):
     """Generate the Python source for one of ``trace``'s bodies.
 
-    The signature is ``__trace__(cpu, tr, n)``: ``n`` is the admitted
-    iteration budget for looping traces (1 for linear ones).  With
+    This is the one code generator of the JIT: blocks (linear traces of
+    ``insn`` items), stitched traces, counted-loop fast bodies and
+    segment bodies all come from here.  The main body's signature is
+    ``__trace__(cpu, tr, n)`` for a looping trace, ``n`` being the
+    admitted iteration budget, and ``__trace__(cpu, tr)`` for a linear
+    body, which runs its straight path once.  With
     ``fast=True`` the *counted-loop specialization* is generated
     instead: the closing guard and every dead flag update are elided,
     valid for up to ``counter - 1`` iterations (the engine enforces the
@@ -1074,7 +931,8 @@ def generate_trace(trace, fast=False, segment=False):
     if segment:
         out.emit(0, "def __trace_segment__(cpu, tr, first, last):")
     else:
-        out.emit(0, "def %s(cpu, tr, n):" % ("__trace_fast__" if fast else "__trace__"))
+        name = "__trace_fast__" if fast else "__trace__"
+        out.emit(0, "def %s(cpu, tr%s):" % (name, ", n" if looping or fast else ""))
     out.emit(1, "regs = cpu.regs")
     out.emit(1, "r = regs.gpr")
     if has_mem:
@@ -1804,7 +1662,7 @@ def generate_trace(trace, fast=False, segment=False):
 
 
 def _trace_namespace(counters):
-    """Globals shared by every generated trace body."""
+    """Globals shared by every generated body."""
     # Deferred import: repro.perf.translate imports this module at load
     # time (the engine owns the JIT), so the module-level direction of
     # the dependency has to stay one-way.
@@ -1824,16 +1682,17 @@ def _trace_namespace(counters):
     }
 
 
-def compile_cached(source, filename, codes):
-    """``compile(source, filename, "exec")`` memoized in ``codes``.
+def _load(source, filename, name, counters, codes):
+    """Compile ``source`` and return the function ``name`` it defines.
 
     ``codes`` is one block engine's generated-source -> code-object
-    table, keyed by a 128-bit digest of the source (the body that runs
+    memo, keyed by a 128-bit digest of the source (the body that runs
     the code keeps the source itself): a body regenerated after a
     wholesale flush (EA-MPU epoch, CFA generation) re-runs ``exec`` on
     the cached code instead of compiling again.  It lives on the
     engine, never at module level, so separate machines never share
-    compiled code.
+    compiled code.  ``counters`` are the engine's slab and guard-exit
+    counters the body credits.
     """
     key = blake2b(source.encode(), digest_size=16).digest()
     code = codes.get(key)
@@ -1841,93 +1700,68 @@ def compile_cached(source, filename, codes):
         if len(codes) >= CODE_CACHE_LIMIT:
             codes.clear()
         code = codes[key] = compile(source, filename, "exec")
-    return code
+    namespace = _trace_namespace(counters)
+    exec(code, namespace)
+    return namespace[name]
+
+
+def _translate(body, counters, codes, kind):
+    """Compile ``body`` - a block or a stitched trace - in place: fills
+    ``run`` and ``source`` (and ``run_fast`` for provably counted loop
+    bodies that are memory-free or whose every memory EA is
+    loop-invariant, see :func:`_steady_plan`).  The segment body
+    compiles lazily on first prefix or resume admission
+    (:meth:`TraceJIT._compile_prefix`) - most bodies never need one.
+    ``kind`` names the body in tracebacks."""
+    source = generate_trace(body)
+    body.run = _load(source, "<%s@0x%X>" % (kind, body.start), "__trace__", counters, codes)
+    if body.counter_reg is not None and (
+        not body.windows or _steady_plan(body.items[:-1]) is not None
+    ):
+        fast_source = generate_trace(body, fast=True)
+        filename = "<%s-fast@0x%X>" % (kind, body.start)
+        body.run_fast = _load(fast_source, filename, "__trace_fast__", counters, codes)
+        source += "\n" + fast_source
+    # A block's segment body compiles first when a horizon prefix or a
+    # resume was its first admission.
+    body.source = source if body.source is None else source + body.source
+    return body
 
 
 def translate_trace(trace, counters, codes):
-    """Compile ``trace`` in place: fills ``run``, ``source``, ``windows``,
-    ``checkpoints``, ``boundaries`` (and ``run_fast`` for provably counted
-    loop bodies that are memory-free or whose every memory EA is
-    loop-invariant, see :func:`_steady_plan`).  The segment body
-    compiles lazily on first prefix or resume admission
-    (:meth:`TraceJIT._compile_prefix`) - most traces never need one.
-    ``codes`` is the engine's code-object memo (:func:`compile_cached`).
-    """
-    namespace = _trace_namespace(counters)
-    source = generate_trace(trace)
-    exec(compile_cached(source, "<trace@0x%X>" % trace.start, codes), namespace)
-    mem_sites = sum(
-        1 for item in trace.items
-        if item[0] == "insn" and item[2].opcode in MEM_OPS
-    )
-    trace.windows = [None] * mem_sites
-    trace.windows2 = [None] * mem_sites
-    _, trace.checkpoints, eips = _checkpoint_plan(trace.items, trace.cfa)
-    boundaries = {}
-    for number, eip in enumerate(eips, 1):
-        boundaries.setdefault(eip, number)
-    trace.boundaries = boundaries
-    trace.source = source
-    trace.run = namespace["__trace__"]
-    if trace.counter_reg is not None and (
-        mem_sites == 0 or _steady_plan(trace.items[:-1]) is not None
-    ):
-        fast_source = generate_trace(trace, fast=True)
-        filename = "<trace-fast@0x%X>" % trace.start
-        exec(compile_cached(fast_source, filename, codes), namespace)
-        trace.run_fast = namespace["__trace_fast__"]
-        trace.source = source + "\n" + fast_source
-    return trace
-
-
-class TraceCache(BlockCache):
-    """Traces by head EIP, plus the resume lookup: every cached trace's
-    checkpoint boundaries by EIP, dropped and flushed with the trace."""
-
-    def __init__(self, index):
-        super().__init__(index, "trace")
-        #: Boundary EIP -> the cached trace a resume may enter there.
-        self.boundaries = {}
-
-    def put(self, trace):
-        super().put(trace)
-        for eip in trace.boundaries:
-            self.boundaries.setdefault(eip, trace)
-
-    def drop(self, start):
-        trace = self.entries[start]
-        super().drop(start)
-        for eip in trace.boundaries:
-            if self.boundaries.get(eip) is trace:
-                del self.boundaries[eip]
-
-    def flush(self):
-        super().flush()
-        self.boundaries.clear()
+    """Compile the stitched ``trace`` in place (see :func:`_translate`);
+    ``codes`` is the engine's code-object memo (:func:`_load`)."""
+    return _translate(trace, counters, codes, "trace")
 
 
 class TraceJIT:
-    """Trace dispatcher: edge profile, trace cache, horizon admission.
+    """Compiled-body dispatcher: trace cache, edge profile, admission.
 
     Owned by the :class:`~repro.perf.translate.BlockEngine` (dispatch
     order per step: trace head, then a resume segment, then block, then
-    single-step).  The engine consults it only after its own refusal
-    checks (trace hook, watchpoints, decision cache present, epoch
-    synced); the JIT adds one of its own - a ``transfer_hook``
-    (CFI-style) must observe every control transfer, and stitched
-    branches would bypass it.
+    single-step), which consults it only after its own refusal checks
+    (hooks, watchpoints, decision cache present, epoch synced).  It
+    admits every compiled body by one event-horizon rule - the engine's
+    blocks through :meth:`run_linear` like linear traces, looping traces
+    by whole iterations, and resumed tasks through :meth:`resume`.
+    ``stitch`` turns trace stitching on; with it off
+    (``MachineConfig.traces=False``) no edge is profiled, the trace
+    cache stays empty, and the JIT runs blocks only.
     """
 
-    def __init__(self, engine, cpu):
+    def __init__(self, engine, cpu, stitch=True):
         self.engine = engine
         self.cpu = cpu
-        self.cache = TraceCache(cpu.spans)
+        self.stitch = stitch
+        self.cache = BlockCache(cpu.spans, "trace")
         self.profile = EdgeProfile()
+        #: Admission and slab counters of every body, plus the trace
+        #: tier's own (compiles, guard exits, flushes).
         self.counters = TraceCounters()
         #: Exit address of the last trace/block execution; the next
         #: dispatch at a *different* address closes the edge.
         self.pending_edge = None
-        #: Whether this dispatch ran a trace only up to a checkpoint (its
+        #: Whether this dispatch ran a body only up to a checkpoint (its
         #: exit is the event horizon's, not the code's); reset by
         #: :meth:`dispatch`, which every engine dispatch calls first.
         self.cut = False
@@ -1957,10 +1791,9 @@ class TraceJIT:
         if trace is None:
             # Remember the refusal, but snoop the head instruction so
             # the marker drops when the code there changes.
-            marker = Trace(eip, (), False, None)
             head = _decode_at(memory, eip)
-            marker.spans = ((eip, eip + (head.length if head is not None else 1)),)
-            cache.put(marker)
+            span = (eip, eip + (head.length if head is not None else 1))
+            cache.put(Trace(eip, (), False, None, (span,)))
             return
         translate_trace(trace, self.counters, self.engine.codes)
         cache.put(trace)
@@ -1988,91 +1821,112 @@ class TraceJIT:
         pending = self.pending_edge
         if pending is not None and pending != eip:
             self.pending_edge = None
-            if self.profile.note(pending, eip):
+            if self.stitch and self.profile.note(pending, eip):
                 self.maybe_build(eip)
-        if cpu.transfer_hook is not None:
-            return None
         cache = self.cache
         trace = cache.entries.get(eip)
         if trace is None or trace.run is None:
             return None
+        if not trace.looping:
+            return self.run_linear(cpu, cache, trace)
         clock = cpu.clock
-        horizon = self.engine.horizon
-        limit = horizon() if horizon is not None else None
+        limit = self._limit()
         counters = self.counters
-        if trace.looping:
-            if limit is None:
-                iters = DEFAULT_LOOP_ITERS
-            else:
-                iters = (limit - clock.now) // trace.iter_cost
-                if iters <= 0:
-                    # Not even one whole iteration fits before an IRQ
-                    # can become pending: admit a checkpoint prefix of
-                    # a single iteration instead of falling back a tier.
-                    return self._dispatch_segment(
-                        cpu, trace, 0, limit - clock.now, counters.admits_prefix
-                    )
-                if iters > MAX_LOOP_ITERS:
-                    iters = MAX_LOOP_ITERS
-            cache.stats.hits += 1
-            counters.admits_full.add()
-            before = clock.now
-            if trace.run_fast is not None:
-                bound = cpu.regs.gpr[trace.counter_reg] - 1
-                if bound > iters:
-                    bound = iters
-                # A steady body (counted loop with memory) returns False
-                # without touching state when a window/alignment/snoop
-                # precondition fails; the general body below then runs
-                # and its slow paths install the missing windows.
-                if bound >= 1 and trace.run_fast(cpu, trace, bound) is not False:
-                    self._prefix_tail(cpu, trace, limit)
-                    self.pending_edge = cpu.regs.eip
-                    return clock.now - before
-            trace.run(cpu, trace, iters)
-            self._prefix_tail(cpu, trace, limit)
-            self.pending_edge = cpu.regs.eip
-            return clock.now - before
-        if limit is not None and clock.now + trace.iter_cost > limit:
-            # The whole straight path does not fit: admit its largest
-            # checkpoint prefix instead.
-            return self._dispatch_segment(
-                cpu, trace, 0, limit - clock.now, counters.admits_prefix
-            )
+        if limit is None:
+            iters = DEFAULT_LOOP_ITERS
+        else:
+            iters = (limit - clock.now) // trace.iter_cost
+            if iters <= 0:
+                # Not even one whole iteration fits before an IRQ can
+                # become pending: admit a checkpoint prefix of a single
+                # iteration instead of falling back a tier.
+                return self._dispatch_segment(
+                    cpu, cache, trace, 0, limit - clock.now, counters.admits_prefix
+                )
+            if iters > MAX_LOOP_ITERS:
+                iters = MAX_LOOP_ITERS
         cache.stats.hits += 1
         counters.admits_full.add()
         before = clock.now
-        trace.run(cpu, trace, 1)
+        if trace.run_fast is not None:
+            bound = cpu.regs.gpr[trace.counter_reg] - 1
+            if bound > iters:
+                bound = iters
+            # A steady body (counted loop with memory) returns False
+            # without touching state when a window/alignment/snoop
+            # precondition fails; the general body below then runs
+            # and its slow paths install the missing windows.
+            if bound >= 1 and trace.run_fast(cpu, trace, bound) is not False:
+                self._prefix_tail(cpu, trace, limit)
+                self.pending_edge = cpu.regs.eip
+                return clock.now - before
+        trace.run(cpu, trace, iters)
+        self._prefix_tail(cpu, trace, limit)
+        self.pending_edge = cpu.regs.eip
+        return clock.now - before
+
+    def run_linear(self, cpu, cache, body):
+        """Admit the linear ``body`` (a block or a linear trace, held in
+        ``cache``) at its head.
+
+        The whole body runs when its cost fits before the event horizon;
+        otherwise its largest checkpoint prefix runs through the segment
+        body, or - when not even the first checkpoint fits - the
+        dispatch is rejected.  A block compiles on its first whole
+        admission.  Returns the cycles charged, or ``None`` to fall back
+        a tier.
+        """
+        clock = cpu.clock
+        limit = self._limit()
+        if limit is not None and clock.now + body.iter_cost > limit:
+            return self._dispatch_segment(
+                cpu, cache, body, 0, limit - clock.now, self.counters.admits_prefix
+            )
+        if body.run is None:
+            self.engine.compile_block(body)
+        cache.stats.hits += 1
+        self.counters.admits_full.add()
+        before = clock.now
+        body.run(cpu, body)
         self.pending_edge = cpu.regs.eip
         return clock.now - before
 
     def resume(self, cpu, eip):
-        """Re-enter a cached trace at checkpoint boundary ``eip``.
+        """Re-enter a cached body at checkpoint boundary ``eip``.
 
         Called by the engine for a dispatch that resumes an interrupted
         task (or one of the few single steps after it) and found no
-        trace headed at ``eip``.  Runs the largest segment from the
-        boundary that fits the horizon; returns the cycles charged, or
-        ``None`` when no cached trace has a boundary at ``eip`` or not
-        even its next checkpoint fits.
+        trace headed at ``eip``.  A trace's boundary is preferred to a
+        block's.  Runs the largest segment from the boundary that fits
+        the horizon; returns the cycles charged, or ``None`` when no
+        cached body has a boundary at ``eip`` or not even its next
+        checkpoint fits.
         """
-        trace = self.cache.boundaries.get(eip)
-        if trace is None:
-            return None
-        first = trace.boundaries[eip]
+        for cache in (self.cache, self.engine.cache):
+            body = cache.boundaries.get(eip)
+            if body is not None:
+                limit = self._limit()
+                budget = None if limit is None else limit - cpu.clock.now
+                return self._dispatch_segment(
+                    cpu, cache, body, body.boundaries[eip], budget, self.counters.admits_resume
+                )
+        return None
+
+    def _limit(self):
+        """The event horizon: the earliest cycle an IRQ can become
+        pending, or ``None`` for "no scheduled events"."""
         horizon = self.engine.horizon
-        limit = horizon() if horizon is not None else None
-        budget = None if limit is None else limit - cpu.clock.now
-        return self._dispatch_segment(cpu, trace, first, budget, self.counters.admits_resume)
+        return None if horizon is None else horizon()
 
     def _compile_prefix(self, trace):
-        """Lazily compile the segment body (most traces never need one,
-        so :func:`translate_trace` skips it)."""
-        namespace = _trace_namespace(self.counters)
+        """Lazily compile the segment body of ``trace`` (a block or a
+        stitched trace; most bodies never need one, so
+        :func:`_translate` skips it)."""
         source = generate_trace(trace, segment=True)
         filename = "<trace-segment@0x%X>" % trace.start
-        exec(compile_cached(source, filename, self.engine.codes), namespace)
-        trace.run_segment = namespace["__trace_segment__"]
+        trace.run_segment = _load(
+            source, filename, "__trace_segment__", self.counters, self.engine.codes
+        )
         trace.source = (trace.source or "") + "\n" + source
         return trace.run_segment
 
@@ -2094,24 +1948,24 @@ class TraceJIT:
             return len(checkpoints) + 1
         return bisect_right(checkpoints, reach)
 
-    def _dispatch_segment(self, cpu, trace, first, budget, admitted):
-        """Admit the largest segment from boundary ``first``.
+    def _dispatch_segment(self, cpu, cache, body, first, budget, admitted):
+        """Admit the largest segment of ``body`` (held in ``cache``)
+        from boundary ``first``.
 
         ``admitted`` counts the dispatch (prefix or resume).  When not
         even the next checkpoint fits, the dispatch falls back a tier,
-        counted as a reject *and* an engine deferral.
+        counted as a reject.
         """
-        last = self._segment_end(trace, first, budget)
+        last = self._segment_end(body, first, budget)
         if last <= first:
             self.counters.admits_reject.add()
-            self.engine.deferrals.add()
             return None
-        self.cache.stats.hits += 1
+        cache.stats.hits += 1
         admitted.add()
-        self.cut = last <= len(trace.checkpoints)
+        self.cut = last <= len(body.checkpoints)
         clock = cpu.clock
         before = clock.now
-        (trace.run_segment or self._compile_prefix(trace))(cpu, trace, first, last)
+        (body.run_segment or self._compile_prefix(body))(cpu, body, first, last)
         self.pending_edge = cpu.regs.eip
         return clock.now - before
 

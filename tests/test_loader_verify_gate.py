@@ -96,3 +96,23 @@ class TestPolicyPlumbing:
         )
         assert task in system.kernel.scheduler.tasks.values()
         assert system.loader.last_report.ok
+
+
+class TestNoCyclicGarbage:
+    def test_reject_load_frees_without_the_cyclic_gc(self):
+        # The verifier's CFGs, code model and instruction lists must be
+        # freed by reference counting alone, so peak memory follows live
+        # data instead of when the cyclic collector happens to run.
+        import gc
+
+        from repro import TyTAN
+
+        system = TyTAN()
+        image = system.build_image(COUNTER_TASK, "t")
+        gc.collect()
+        gc.disable()
+        try:
+            system.load_task(image, secure=True, verify="reject")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -5,7 +5,7 @@ block tier on and off, and every architecturally visible outcome -
 retired instructions, simulated cycles, registers, flags, memory,
 fault log, timer ticks - must be bit-for-bit identical.  The
 structural tests (discovery boundaries, heat threshold, write snoop,
-epoch flush, horizon deferral) pin the mechanisms that make the
+epoch flush, horizon prefix admission) pin the mechanisms that make the
 differential hold.
 """
 
@@ -259,10 +259,10 @@ class TestDiscovery:
         cpu.step()
         block = discover(cpu.memory, cpu.regs.eip)
         assert not block.is_marker()
-        assert block.insns[-1][1].opcode not in (Op.JNZ, Op.HLT)
-        end_insn = cpu.memory.read_raw(block.end, 1)
-        assert len(block.insns) <= MAX_BLOCK_INSNS
-        assert block.cost > 0
+        assert block.items[-1][2].opcode not in (Op.JNZ, Op.HLT)
+        end_insn = cpu.memory.read_raw(block.exit_eip, 1)
+        assert len(block.items) <= MAX_BLOCK_INSNS
+        assert block.iter_cost > 0
         assert end_insn  # the ender stays outside the block
 
     def test_short_run_becomes_marker(self):
@@ -272,7 +272,7 @@ class TestDiscovery:
         block = discover(cpu.memory, cpu.regs.eip)
         assert block.is_marker()
         assert block.run is None
-        assert len(block.insns) < MIN_BLOCK_INSNS
+        assert len(block.items) < MIN_BLOCK_INSNS
 
     def test_unmapped_address_becomes_marker(self):
         cpu = build_rig(fastpath=True, source=ALL_OPS_SOURCE)
@@ -311,7 +311,7 @@ class TestCacheMechanics:
             for block in cache.entries.values()
             if block.run is not None and block.start > CODE_BASE
         )
-        address = at(victim.start, victim.end)
+        address = at(victim.start, victim.exit_eip)
         cpu.memory.write_raw(address, cpu.memory.read_raw(address, size))
         assert (victim.start not in cache.entries) == dropped
         assert victim.valid != dropped
@@ -348,8 +348,9 @@ class TestHorizon:
         assert plain_timer.ticks == blocked_timer.ticks == 20
         stats = blocked.block_engine.snapshot()
         assert stats["executions"] > 0
-        # The tick horizon really constrained admission at least once.
-        assert stats["horizon_deferrals"] > 0
+        # The tick horizon cut a block short at least once: it ran a
+        # checkpoint prefix instead of the whole body.
+        assert stats["traces"]["admit"]["prefix"] > 0
 
 
 class TestBench:

@@ -1,20 +1,22 @@
-"""Resumed tasks re-enter cached traces; block heat counts entries only.
+"""Resumed tasks re-enter cached bodies; block heat counts entries only.
 
 A tick may preempt a task at any instruction, and the context restore
-resumes it there.  The trace tier re-enters a cached trace at a
+resumes it there.  The JIT re-enters a cached trace or block at a
 checkpoint boundary through its segment body (a resume between two
 checkpoints single-steps to the next one first), so a resume point
 inside a cached body never grows a block of its own.  These tests pin
 that a resumed segment - entered at a checkpoint, between two, and cut
-short by the event horizon - ends bit-identical to single-stepping,
-that a loop head inside a compiled block still compiles (it is entered
-by a control transfer), and that a firmware-shaped run compiles few
-blocks, every one of which runs.
+short by the event horizon, in a trace and in block-only code - ends
+bit-identical to single-stepping, that a loop head inside a compiled
+block still compiles (it is entered by a control transfer), and that a
+firmware-shaped run compiles few blocks, every one of which runs.
 """
 
 import pytest
 
 from repro import TyTAN
+from repro.image.linker import link
+from repro.isa.assembler import assemble
 from repro.perf import translate as translate_module
 from repro.perf.traces import TraceJIT
 from repro.tools.trace import _load_demo
@@ -85,6 +87,31 @@ class TestResumedSegments:
         assert engine.translations.value <= 2
 
 
+class TestResumeIntoBlocks:
+    @pytest.mark.parametrize("tier", [_TIERS[2], _TIERS[3]], ids=["no-traces", "traces"])
+    @pytest.mark.parametrize(
+        "resume_index",
+        [pytest.param(4, id="at-checkpoint"), pytest.param(6, id="between-checkpoints")],
+    )
+    def test_resume_enters_the_block_at_a_boundary(self, resume_ends, resume_index, tier):
+        # A ``call`` closes the loop body: no trace can stitch through
+        # it, so only the block at ``loop`` covers the resume point.
+        source = _resume_program(_BODY + ["call leaf"], resume_index, 0x0010_4000)
+        source += "leaf:\nret\n"
+        interpreted, _ = _run_resumed(source, 400, True, _TIERS[0])
+        resumed, engine = _run_resumed(source, 400, True, tier)
+        assert resumed == interpreted
+        assert interpreted["ticks"] >= 25
+        assert not any(trace.items for trace in engine.traces.cache.entries.values())
+        assert engine.snapshot()["traces"]["admit"]["resume"] >= 10
+        # A resume lands on the block's boundary, or single-steps to the
+        # next one, instead of growing a block of its own.
+        assert {first for first, _, _ in resume_ends} == {1 if resume_index == 4 else 2}
+        image = link(assemble(source), entry_symbol="resume", stack_size=64)
+        block = engine.cache.entries.get(0x0010_0000 + image.entry)
+        assert block is None or block.run is None
+
+
 #: A loop head (``inner``) strictly inside the block that starts at
 #: ``outer``: entered by the ``jnz``, so it must still earn heat.
 _NESTED_SOURCE = """\
@@ -109,9 +136,9 @@ class TestEntryHeat:
         cpu = _bare_cpu(_NESTED_SOURCE, blocks=False)
         engine = cpu.enable_blocks(cpu.clock.next_event_horizon, traces=traces)
         _run_to_halt(cpu)
-        blocks = {start: block for start, block in engine.cache.entries.items() if block.insns}
+        blocks = {start: block for start, block in engine.cache.entries.items() if block.items}
         outer = blocks[min(blocks)]
-        inner = outer.insns[1][0]
+        inner = outer.items[1][1]
         assert outer.run is not None
         assert inner in blocks and blocks[inner].run is not None
 
@@ -121,8 +148,8 @@ class TestEntryHeat:
         engine = cpu.enable_blocks(lambda: cpu.clock.now + budget[0], traces=False)
         for _ in range(300):
             cpu.step()
-        discovered = [block for block in engine.cache.entries.values() if block.insns]
-        assert discovered and engine.deferrals.value > 0
+        discovered = [block for block in engine.cache.entries.values() if block.items]
+        assert discovered and engine.traces.counters.admits_reject.value > 0
         assert engine.translations.value == 0
         assert all(block.run is None for block in discovered)
         budget[0] = 1_000

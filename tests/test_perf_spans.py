@@ -60,7 +60,7 @@ def _cached_spans(cpu):
     trace, read off the caches themselves."""
     spans = [(eip, eip + entry[0].length) for eip, entry in cpu.insn_cache._insns.items()]
     engine = cpu.block_engine
-    spans += [(block.start, block.end) for block in engine.cache.entries.values()]
+    spans += [span for block in engine.cache.entries.values() for span in block.spans]
     for trace in engine.traces.cache.entries.values():
         spans += [(item[1], item[1] + item[2].length) for item in trace.items]
         if not trace.items:

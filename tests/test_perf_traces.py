@@ -316,6 +316,14 @@ class TestObsIntegration:
         platform = Platform(MachineConfig(traces=False))
         assert "trace-compiles" not in platform.obs.counters.names()
 
+    def test_ablated_platform_keeps_admission_and_slab_counters(self):
+        # Blocks are admitted and hit the slab like traces, so their
+        # counters exist whenever blocks are on.
+        names = Platform(MachineConfig(traces=False)).obs.counters.names()
+        for expected in ("trace-admit-full", "trace-admit-prefix", "trace-admit-resume",
+                         "trace-admit-reject", "slab-load", "slab-store-u8"):
+            assert expected in names, expected
+
     def test_compile_event_published(self):
         _, _, cpu = _pair(_COUNTED_SOURCE)
         # Bench rigs have no obs bus; wire one and retrigger a compile
