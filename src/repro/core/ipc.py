@@ -31,6 +31,8 @@ the reference configuration and the receiver's entry routine adds 116.
 
 from __future__ import annotations
 
+import struct
+
 from repro import cycles
 from repro.errors import IPCError
 from repro.hw.ea_mpu import MpuRule, Perm
@@ -41,7 +43,6 @@ from repro.rtos.task import (
     INBOX_ENTRY_BYTES,
     INBOX_MSG,
     INBOX_RD,
-    INBOX_SENDER,
     INBOX_SLOTS,
     INBOX_WR,
     TaskState,
@@ -141,8 +142,7 @@ class IPCProxy(FirmwareComponent):
         inbox = receiver.inbox_base
         memory = self.kernel.memory
         clock.charge(cycles.IPC_INBOX_BASE)
-        read_index = memory.read_u32(inbox + INBOX_RD, actor=self.base)
-        write_index = memory.read_u32(inbox + INBOX_WR, actor=self.base)
+        read_index, write_index = memory.read_words(inbox + INBOX_RD, 2, actor=self.base)
         if (write_index - read_index) & 0xFFFFFFFF >= INBOX_SLOTS:
             self.last_send = {"status": "inbox-full", "cycles": clock.now - start}
             self._publish(
@@ -153,20 +153,8 @@ class IPCProxy(FirmwareComponent):
                 cycles=clock.now - start,
             )
             return IpcAbi.STATUS_INBOX_FULL, receiver
-        entry = (
-            inbox + INBOX_ENTRIES + (write_index % INBOX_SLOTS) * INBOX_ENTRY_BYTES
-        )
-        padded = list(message_words) + [0] * (
-            cycles.IPC_MAX_MESSAGE_WORDS - len(message_words)
-        )
-        for index, word in enumerate(padded):
-            memory.write_u32(entry + INBOX_MSG + 4 * index, word, actor=self.base)
-            clock.charge(cycles.IPC_INBOX_PER_WORD)
-        for index in range(cycles.IPC_IDENTITY_WORDS):
-            word = int.from_bytes(
-                sender_id64[4 * index : 4 * index + 4], "little"
-            )
-            memory.write_u32(entry + INBOX_SENDER + 4 * index, word, actor=self.base)
+        self._write_entry(inbox, write_index, message_words, sender_id64)
+        for _ in range(cycles.IPC_MAX_MESSAGE_WORDS + cycles.IPC_IDENTITY_WORDS):
             clock.charge(cycles.IPC_INBOX_PER_WORD)
         memory.write_u32(
             inbox + INBOX_WR, (write_index + 1) & 0xFFFFFFFF, actor=self.base
@@ -240,23 +228,29 @@ class IPCProxy(FirmwareComponent):
         """
         memory = self.kernel.memory
         inbox = receiver.inbox_base
-        read_index = memory.read_u32(inbox + INBOX_RD, actor=self.base)
-        write_index = memory.read_u32(inbox + INBOX_WR, actor=self.base)
+        read_index, write_index = memory.read_words(inbox + INBOX_RD, 2, actor=self.base)
         if (write_index - read_index) & 0xFFFFFFFF >= INBOX_SLOTS:
             return False
-        entry = (
-            inbox + INBOX_ENTRIES + (write_index % INBOX_SLOTS) * INBOX_ENTRY_BYTES
-        )
-        padded = list(words) + [0] * (cycles.IPC_MAX_MESSAGE_WORDS - len(words))
-        for index, word in enumerate(padded):
-            memory.write_u32(entry + INBOX_MSG + 4 * index, word, actor=self.base)
-        for index in range(cycles.IPC_IDENTITY_WORDS):
-            word = int.from_bytes(sender_id64[4 * index : 4 * index + 4], "little")
-            memory.write_u32(entry + INBOX_SENDER + 4 * index, word, actor=self.base)
+        self._write_entry(inbox, write_index, words, sender_id64)
         memory.write_u32(
             inbox + INBOX_WR, (write_index + 1) & 0xFFFFFFFF, actor=self.base
         )
         return True
+
+    def _write_entry(self, inbox, write_index, words, sender_id64):
+        """Copy one message into ring slot ``write_index``, as the proxy.
+
+        The zero-padded payload and the sender identity are the entry's
+        consecutive words, so they move in one transfer.
+        """
+        entry = (
+            inbox + INBOX_ENTRIES + (write_index % INBOX_SLOTS) * INBOX_ENTRY_BYTES
+        )
+        padded = list(words) + [0] * (cycles.IPC_MAX_MESSAGE_WORDS - len(words))
+        sender = struct.unpack("<%dI" % cycles.IPC_IDENTITY_WORDS, sender_id64)
+        self.kernel.memory.write_words(
+            entry + INBOX_MSG, padded + list(sender), actor=self.base
+        )
 
     # -- receive helpers -----------------------------------------------------
 
@@ -271,22 +265,20 @@ class IPCProxy(FirmwareComponent):
         memory = self.kernel.memory
         actor = task.base
         inbox = task.inbox_base
-        read_index = memory.read_u32(inbox + INBOX_RD, actor=actor)
-        write_index = memory.read_u32(inbox + INBOX_WR, actor=actor)
+        read_index, write_index = memory.read_words(inbox + INBOX_RD, 2, actor=actor)
         if read_index == write_index:
             return None
         entry = (
             inbox + INBOX_ENTRIES + (read_index % INBOX_SLOTS) * INBOX_ENTRY_BYTES
         )
-        words = [
-            memory.read_u32(entry + INBOX_MSG + 4 * i, actor=actor)
-            for i in range(cycles.IPC_MAX_MESSAGE_WORDS)
-        ]
-        sender = b"".join(
-            memory.read_u32(entry + INBOX_SENDER + 4 * i, actor=actor).to_bytes(
-                4, "little"
-            )
-            for i in range(cycles.IPC_IDENTITY_WORDS)
+        stored = memory.read_words(
+            entry + INBOX_MSG,
+            cycles.IPC_MAX_MESSAGE_WORDS + cycles.IPC_IDENTITY_WORDS,
+            actor=actor,
+        )
+        words = list(stored[: cycles.IPC_MAX_MESSAGE_WORDS])
+        sender = struct.pack(
+            "<%dI" % cycles.IPC_IDENTITY_WORDS, *stored[cycles.IPC_MAX_MESSAGE_WORDS :]
         )
         memory.write_u32(
             inbox + INBOX_RD, (read_index + 1) & 0xFFFFFFFF, actor=actor

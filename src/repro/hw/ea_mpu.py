@@ -302,6 +302,24 @@ class EAMPU:
                 return True
         return not covered
 
+    def allows(self, kind, address, size, eip):
+        """:meth:`probe` with allow verdicts memoized like :meth:`check`'s.
+
+        An allow verdict for a range is exactly a passing :meth:`check`
+        of it, so both share one memo.  A denial is only reported; it is
+        never raised, logged or published here.
+        """
+        decisions = self.decisions
+        if decisions is None:
+            return self.probe(kind, address, size, eip)
+        key = (kind, address, size, eip)
+        if decisions.lookup_access(key):
+            return True
+        if self.probe(kind, address, size, eip):
+            decisions.store_access(key)
+            return True
+        return False
+
     def check_transfer(self, from_eip, to_eip, privileged=False):
         """Enforce entry-point rules on a control transfer.
 

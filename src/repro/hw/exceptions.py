@@ -111,7 +111,7 @@ class ExceptionEngine:
         """Read the handler address for ``vector`` from the IDT."""
         if not 0 <= vector < Vector.COUNT:
             raise ConfigurationError("vector %d out of range" % vector)
-        return self.memory.read_u32(self.idt_base + 4 * vector)
+        return self.memory.read_words(self.idt_base + 4 * vector, 1)[0]
 
     # -- delivery ---------------------------------------------------------
 
@@ -125,11 +125,11 @@ class ExceptionEngine:
         regs = cpu.regs
         self.last_origin = regs.eip
         self.last_vector = vector
-        # Hardware pushes to the interrupted task's stack.
-        regs.esp = regs.esp - 4
-        self.memory.write_u32(regs.esp, regs.eflags, PhysicalMemory.HW_ACTOR)
-        regs.esp = regs.esp - 4
-        self.memory.write_u32(regs.esp, regs.eip, PhysicalMemory.HW_ACTOR)
+        # Hardware pushes EFLAGS, then EIP, to the interrupted task's stack.
+        regs.esp = regs.esp - 8
+        self.memory.write_words(
+            regs.esp, (regs.eip, regs.eflags), PhysicalMemory.HW_ACTOR, descending=True
+        )
         regs.set_flag(Flag.IF, False)
         handler = self.handler_address(vector)
         regs.eip = handler
@@ -151,10 +151,10 @@ class ExceptionEngine:
         tiers may re-enter cached code at the resume point rather than
         treat it as a new entry (no simulated effect)."""
         regs = cpu.regs
-        new_eip = self.memory.read_u32(regs.esp, PhysicalMemory.HW_ACTOR)
-        regs.esp = regs.esp + 4
-        new_eflags = self.memory.read_u32(regs.esp, PhysicalMemory.HW_ACTOR)
-        regs.esp = regs.esp + 4
+        new_eip, new_eflags = self.memory.read_words(
+            regs.esp, 2, PhysicalMemory.HW_ACTOR
+        )
+        regs.esp = regs.esp + 8
         regs.eip = new_eip
         regs.eflags = new_eflags
         cpu.resumed = True

@@ -5,14 +5,25 @@ memory.  :class:`PhysicalMemory` models the bus: it routes each access to
 a RAM region or an MMIO region, and (when an EA-MPU is attached) runs the
 execution-aware access check before the access is performed.
 
+Context frames and IPC inbox entries move as runs of consecutive 32-bit
+words.  :meth:`PhysicalMemory.read_words` and
+:meth:`PhysicalMemory.write_words` check such a run once and copy it
+straight to or from the RAM slab.  When one check cannot stand for every
+word (a watchpoint, an EA-MPU denial or partial cover, an MMIO window, a
+region straddle), they run the checked word accessors one by one in the
+caller's order, so faults, the fault log, denial events and partial
+writes are exactly those of the per-word code.
+
 All multi-byte values are little-endian, matching the x86 lineage of the
 platform.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 from bisect import bisect_right
+from functools import lru_cache
 
 from repro.errors import ConfigurationError, MemoryFault
 from repro.obs.counters import HitMissCounter
@@ -27,6 +38,12 @@ SNOOP_PAGE_SHIFT = 8
 def u32(value):
     """Truncate ``value`` to an unsigned 32-bit integer."""
     return value & MASK32
+
+
+@lru_cache(maxsize=None)
+def _word_run(count):
+    """The little-endian ``struct`` layout of ``count`` 32-bit words."""
+    return struct.Struct("<%dI" % count)
 
 
 class RamRegion:
@@ -273,6 +290,10 @@ class PhysicalMemory:
         self.mpu = None
         self._watchpoints = []
         self._write_listeners = []
+        #: Word-run transfers (:meth:`read_words`/:meth:`write_words`):
+        #: hits copied the slab after one check, misses ran the
+        #: per-word accessors.
+        self.range_stats = HitMissCounter("bus-range")
         #: Pages (address >> :data:`SNOOP_PAGE_SHIFT`) that ever held a
         #: cached code artifact (decoded instructions, blocks,
         #: traces).  The code caches' span index
@@ -385,3 +406,71 @@ class PhysicalMemory:
     def write_u32(self, address, value, actor=HW_ACTOR):
         """Write an unsigned little-endian 32-bit value."""
         self.write(address, u32(value).to_bytes(4, "little"), actor)
+
+    # -- word runs (context frames, inbox entries) --------------------------
+
+    def read_words(self, address, count, actor=HW_ACTOR, descending=False):
+        """Read ``count`` consecutive 32-bit words from ``address`` up.
+
+        Returns a tuple in ascending address order.  One check of the
+        whole range stands for every word (see :meth:`_slab_for`);
+        otherwise the words are read one by one with :meth:`read_u32`,
+        highest address first when ``descending``, which is the order
+        a caller popping a frame from the top uses.
+        """
+        address = u32(address)
+        region = self._slab_for("read", address, 4 * count, actor)
+        if region is not None:
+            return _word_run(count).unpack_from(region.data, address - region.base)
+        values = [0] * count
+        for index in range(count - 1, -1, -1) if descending else range(count):
+            values[index] = self.read_u32(address + 4 * index, actor)
+        return tuple(values)
+
+    def write_words(self, address, values, actor=HW_ACTOR, descending=False):
+        """Write ``values`` to consecutive 32-bit words from ``address`` up.
+
+        ``values`` are in ascending address order.  On the slab path
+        the write listeners hear one call over the whole range;
+        otherwise every word goes through :meth:`write_u32`, highest
+        address first when ``descending`` (a stack push), so a fault
+        leaves exactly the words the per-word code would have written.
+        """
+        address = u32(address)
+        count = len(values)
+        size = 4 * count
+        region = self._slab_for("write", address, size, actor)
+        if region is not None:
+            _word_run(count).pack_into(
+                region.data, address - region.base, *[u32(value) for value in values]
+            )
+            for callback in self._write_listeners:
+                callback(address, size)
+            return
+        for index in range(count - 1, -1, -1) if descending else range(count):
+            self.write_u32(address + 4 * index, values[index], actor)
+
+    def _slab_for(self, kind, address, size, actor):
+        """The RAM region a word run may be copied from or to, or ``None``.
+
+        Only with no watchpoint attached (they must see every word), a
+        range inside one RAM region (MMIO registers have side effects,
+        and a straddle faults part-way), and an EA-MPU verdict allowing
+        the whole range.  A rule that allows the range covers every
+        word in it, and an uncovered range leaves every word uncovered,
+        so each per-word check would pass too.
+        """
+        stats = self.range_stats
+        if not self._watchpoints:
+            region = self.map.try_find(address, size)
+            if isinstance(region, RamRegion):
+                mpu = self.mpu
+                if (
+                    mpu is None
+                    or actor == self.HW_ACTOR
+                    or mpu.allows(kind, address, size, actor)
+                ):
+                    stats.hits += 1
+                    return region
+        stats.misses += 1
+        return None

@@ -25,7 +25,7 @@ from repro.hw.devices import EngineActuator, PedalSensor, RadarSensor, SpeedSens
 from repro.hw.ea_mpu import EAMPU
 from repro.hw.exceptions import ExceptionEngine
 from repro.hw.memory import MemoryMap, PhysicalMemory, RamRegion
-from repro.hw.mmio import MmioRegion
+from repro.hw.mmio import MmioDevice, MmioRegion
 from repro.hw.platform_key import KEY_BYTES, PlatformKeyStore
 from repro.hw.timer import RealTimeClock, TickTimer
 from repro.obs.bus import DEFAULT_CAPACITY, EventBus
@@ -220,6 +220,7 @@ class Platform:
         self.mpu.obs = self.obs
         self.engine.obs = self.obs
         self.obs.counters.register(self.memory.map.stats)
+        self.obs.counters.register(self.memory.range_stats)
         if self.cpu.insn_cache is not None:
             self.obs.counters.register(self.cpu.insn_cache.stats)
         if self.mpu.decisions is not None:
@@ -238,6 +239,9 @@ class Platform:
         self.speed = SpeedSensor(self.clock)
         self.engine_actuator = EngineActuator(self.clock)
         self._devices = []
+        #: The devices whose class overrides :meth:`MmioDevice.tick`:
+        #: the only ones :meth:`poll_devices` has to call.
+        self._ticking = []
         for index, device in enumerate(
             (
                 self.tick_timer,
@@ -249,9 +253,7 @@ class Platform:
             )
         ):
             base = cfg.mmio_base + index * 0x100
-            self.memory.map.add(MmioRegion(device, base))
-            self._devices.append(device)
-            self.clock.add_event_source(device.next_event)
+            self._add_device(device, base)
             setattr(self, "%s_base" % device.name.replace("-", "_"), base)
 
         # -- platform key ----------------------------------------------------
@@ -311,9 +313,7 @@ class Platform:
             raise ConfigurationError("a NIC is already attached")
         nic = nic if nic is not None else NetworkInterface()
         base = self.config.mmio_base + len(self._devices) * 0x100
-        self.memory.map.add(MmioRegion(nic, base))
-        self._devices.append(nic)
-        self.clock.add_event_source(nic.next_event)
+        self._add_device(nic, base)
         self.nic = nic
         self.nic_base = base
         return nic
@@ -324,10 +324,22 @@ class Platform:
 
     # -- device timekeeping --------------------------------------------------
 
+    def _add_device(self, device, base):
+        """Map ``device``'s MMIO window at ``base`` and watch its events."""
+        self.memory.map.add(MmioRegion(device, base))
+        self._devices.append(device)
+        if type(device).tick is not MmioDevice.tick:
+            self._ticking.append(device)
+        self.clock.add_event_source(device.next_event)
+
     def poll_devices(self):
-        """Let every device observe the current time."""
+        """Let every device that keeps time observe the current time.
+
+        A device without its own :meth:`MmioDevice.tick` (the sensors,
+        the actuator, the NIC) has nothing to advance, so it is skipped.
+        """
         now = self.clock.now
-        for device in self._devices:
+        for device in self._ticking:
             device.tick(now)
 
     def next_device_event(self):

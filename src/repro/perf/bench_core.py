@@ -371,78 +371,94 @@ def run_bench(instructions=150_000, blocks=True, traces=True):
     }
 
 
-def run_cfa_bench(instructions=150_000):
-    """Path-recording overhead: the alu workload, recording off vs on.
+#: Interleaved recording-off/on run pairs the CFA bench times per mode.
+CFA_PAIRS = 3
 
-    Runs the straight-line ALU loop in every mode twice - once bare and
-    once with a :class:`~repro.cfa.recorder.CfaCore` folding every taken
-    transfer into the path hash - and reports the wall-clock insns/sec
-    cost of recording per tier, plus the modelled cycle cost (the
-    per-edge charge the interpreter pays and the trace tier bakes into
-    its closed-form bodies).  The run doubles as the cross-tier evidence
-    gate: all four recording runs must retire the same count, charge the
-    same cycles, and chain to the same path digest - divergence means a
-    JIT's baked hash updates drifted from the interpreter's.
+
+def _cfa_run(source, mode, recording):
+    """One timed alu run, recording the path when ``recording``.
+
+    Returns ``(retired, cycles, seconds, state, evidence)``; ``state``
+    is the architectural end state and ``evidence`` (recording runs
+    only) the sealed path digest with its edge, cycle and retire counts.
     """
     from repro.cfa.recorder import CfaCore, PathRecorder
 
+    cpu, timer = _build_mode_rig(source, mode)
+    recorder = None
+    if recording:
+        recorder = PathRecorder()
+        cpu.cfa = CfaCore(cpu.clock)
+        cpu.cfa.attach_region(CODE_BASE, CODE_BASE + 0x1000, recorder)
+    seconds = _run(cpu, timer)
+    state = (list(cpu.regs.gpr), cpu.regs.eip, cpu.regs.eflags)
+    evidence = None
+    if recording:
+        recorder.seal()
+        evidence = (
+            recorder.path_digest().hex(),
+            recorder.edges,
+            cpu.clock.now,
+            cpu.retired,
+        )
+    return cpu.retired, cpu.clock.now, seconds, state, evidence
+
+
+def run_cfa_bench(instructions=150_000):
+    """Path-recording overhead: the alu workload, recording off vs on.
+
+    Runs the straight-line ALU loop in every mode as :data:`CFA_PAIRS`
+    interleaved pairs - once bare, once with a
+    :class:`~repro.cfa.recorder.CfaCore` folding every taken transfer
+    into the path hash - and reports the wall-clock insns/sec cost of
+    recording per tier from the fastest bare run against the fastest
+    recording run (one pair alone is host noise), plus the modelled
+    cycle cost (the per-edge charge the interpreter pays and the trace
+    tier bakes into its closed-form bodies).  Every run doubles as the
+    cross-tier evidence gate: all recording runs must retire the same
+    count, charge the same cycles, and chain to the same path digest -
+    divergence means a JIT's baked hash updates drifted from the
+    interpreter's.
+    """
     iters = max(1, instructions // _ALU_PER_ITER)
     source = _alu_source(iters)
     modes_out = {}
     reference = None
     off_reference = None
     for mode in MODES:
-        timings = {}
-        evidence = None
-        for recording in (False, True):
-            cpu, timer = _build_mode_rig(source, mode)
-            recorder = None
-            if recording:
-                recorder = PathRecorder()
-                cpu.cfa = CfaCore(cpu.clock)
-                cpu.cfa.attach_region(CODE_BASE, CODE_BASE + 0x1000, recorder)
-            seconds = _run(cpu, timer)
-            timings[recording] = (cpu.retired, cpu.clock.now, seconds)
-            state = (list(cpu.regs.gpr), cpu.regs.eip, cpu.regs.eflags)
-            if recording:
-                if state != off_state:
-                    raise AssertionError(
-                        "cfa: %s architectural state differs with recording on"
-                        % mode
-                    )
-            else:
-                off_state = state
-            if recording:
-                recorder.seal()
-                evidence = (
-                    recorder.path_digest().hex(),
-                    recorder.edges,
-                    cpu.clock.now,
-                    cpu.retired,
-                )
-        off_retired, off_cycles, off_seconds = timings[False]
-        on_retired, on_cycles, on_seconds = timings[True]
-        if off_retired != on_retired:
-            raise AssertionError(
-                "cfa: %s retired %d recording vs %d bare"
-                % (mode, on_retired, off_retired)
+        off_times, on_times = [], []
+        for _ in range(CFA_PAIRS):
+            off_retired, off_cycles, off_seconds, off_state, _ = _cfa_run(
+                source, mode, False
             )
-        if reference is None:
-            reference = (mode, evidence)
-            off_reference = (mode, (off_retired, off_cycles))
-        else:
-            if evidence != reference[1]:
+            on_retired, _, on_seconds, on_state, evidence = _cfa_run(source, mode, True)
+            if on_state != off_state:
                 raise AssertionError(
-                    "cfa: modes %r and %r diverged on recorded evidence"
-                    % (reference[0], mode)
+                    "cfa: %s architectural state differs with recording on" % mode
                 )
-            if (off_retired, off_cycles) != off_reference[1]:
+            if off_retired != on_retired:
                 raise AssertionError(
-                    "cfa: modes %r and %r diverged on the bare run"
-                    % (off_reference[0], mode)
+                    "cfa: %s retired %d recording vs %d bare"
+                    % (mode, on_retired, off_retired)
                 )
-        off_rate = round(off_retired / off_seconds, 1)
-        on_rate = round(on_retired / on_seconds, 1)
+            if reference is None:
+                reference = (mode, evidence)
+                off_reference = (mode, (off_retired, off_cycles))
+            else:
+                if evidence != reference[1]:
+                    raise AssertionError(
+                        "cfa: modes %r and %r diverged on recorded evidence"
+                        % (reference[0], mode)
+                    )
+                if (off_retired, off_cycles) != off_reference[1]:
+                    raise AssertionError(
+                        "cfa: modes %r and %r diverged on the bare run"
+                        % (off_reference[0], mode)
+                    )
+            off_times.append(off_seconds)
+            on_times.append(on_seconds)
+        off_rate = round(off_retired / min(off_times), 1)
+        on_rate = round(on_retired / min(on_times), 1)
         modes_out[mode] = {
             "off_insns_per_sec": off_rate,
             "on_insns_per_sec": on_rate,

@@ -139,6 +139,12 @@ class Trace:
     update the interpreter performs, and the per-edge cost is baked
     into ``iter_cost``/``checkpoints``; the generation check in the
     block engine flushes traces when enrolment changes.
+
+    Bodies keep no generated source.  For debugging, regenerate it
+    from the body with :func:`repro.perf.traces.generate_trace`:
+    ``generate_trace(body)`` for the main body,
+    ``generate_trace(body, fast=True)`` for the counted-loop body and
+    ``generate_trace(body, segment=True)`` for the segment body.
     """
 
     __slots__ = (
@@ -159,7 +165,6 @@ class Trace:
         "checkpoints",
         "boundaries",
         "cfa",
-        "source",
     )
 
     def __init__(self, start, items, looping, exit_eip, spans, cfa=frozenset()):
@@ -210,8 +215,6 @@ class Trace:
         #: checkpoint = the path's end).  Compiled lazily on the first
         #: prefix or resume admission.
         self.run_segment = None
-        #: Generated Python source (debugging / obs).
-        self.source = None
 
     def is_marker(self):
         """Whether this entry marks an address with no body."""

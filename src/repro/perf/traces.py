@@ -1686,13 +1686,12 @@ def _load(source, filename, name, counters, codes):
     """Compile ``source`` and return the function ``name`` it defines.
 
     ``codes`` is one block engine's generated-source -> code-object
-    memo, keyed by a 128-bit digest of the source (the body that runs
-    the code keeps the source itself): a body regenerated after a
-    wholesale flush (EA-MPU epoch, CFA generation) re-runs ``exec`` on
-    the cached code instead of compiling again.  It lives on the
-    engine, never at module level, so separate machines never share
-    compiled code.  ``counters`` are the engine's slab and guard-exit
-    counters the body credits.
+    memo, keyed by a 128-bit digest of the source: a body regenerated
+    after a wholesale flush (EA-MPU epoch, CFA generation) re-runs
+    ``exec`` on the cached code instead of compiling again.  It lives
+    on the engine, never at module level, so separate machines never
+    share compiled code.  ``counters`` are the engine's slab and
+    guard-exit counters the body credits.
     """
     key = blake2b(source.encode(), digest_size=16).digest()
     code = codes.get(key)
@@ -1707,7 +1706,7 @@ def _load(source, filename, name, counters, codes):
 
 def _translate(body, counters, codes, kind):
     """Compile ``body`` - a block or a stitched trace - in place: fills
-    ``run`` and ``source`` (and ``run_fast`` for provably counted loop
+    ``run`` (and ``run_fast`` for provably counted loop
     bodies that are memory-free or whose every memory EA is
     loop-invariant, see :func:`_steady_plan`).  The segment body
     compiles lazily on first prefix or resume admission
@@ -1721,10 +1720,6 @@ def _translate(body, counters, codes, kind):
         fast_source = generate_trace(body, fast=True)
         filename = "<%s-fast@0x%X>" % (kind, body.start)
         body.run_fast = _load(fast_source, filename, "__trace_fast__", counters, codes)
-        source += "\n" + fast_source
-    # A block's segment body compiles first when a horizon prefix or a
-    # resume was its first admission.
-    body.source = source if body.source is None else source + body.source
     return body
 
 
@@ -1927,7 +1922,6 @@ class TraceJIT:
         trace.run_segment = _load(
             source, filename, "__trace_segment__", self.counters, self.engine.codes
         )
-        trace.source = (trace.source or "") + "\n" + source
         return trace.run_segment
 
     def _segment_end(self, trace, first, budget):

@@ -41,7 +41,6 @@ from repro.rtos.swtimer import TimerService
 from repro.rtos.syscalls import Syscall
 from repro.rtos.task import (
     INBOX_RD,
-    INBOX_WR,
     NativeCall,
     TaskControlBlock,
     TaskState,
@@ -308,14 +307,11 @@ class Kernel:
         share one code path.
         """
         actor = self.memory.HW_ACTOR  # frame built before protection applies
-        esp = task.stack_top
-        esp -= 4
-        self.memory.write_u32(esp, Flag.IF, actor)  # EFLAGS: interrupts on
-        esp -= 4
-        self.memory.write_u32(esp, task.entry, actor)  # EIP = entry point
-        for value in (0, 0, 0, 0, 0, 0, 0, 0):  # 8 GPRs
-            esp -= 4
-            self.memory.write_u32(esp, value, actor)
+        esp = task.stack_top - FRAME_BYTES
+        # From the top down: EFLAGS (interrupts on), EIP = entry point,
+        # then 8 zeroed GPRs.
+        frame = (0,) * Reg.COUNT + (task.entry, Flag.IF)
+        self.memory.write_words(esp, frame, actor, descending=True)
         task.saved_esp = esp
         task.started = False
         task.resume_mode = None
@@ -335,9 +331,9 @@ class Kernel:
             floor = task.end - task.stack_size
             if esp - FRAME_GPR_BYTES < floor:
                 raise StackOverflow(task.name, esp - FRAME_GPR_BYTES, floor)
-        for index in range(Reg.COUNT):
-            esp -= 4
-            self.memory.write_u32(esp, regs.read(index), actor)
+        esp -= FRAME_GPR_BYTES
+        # Register i lands at esp + 4 * (COUNT - 1 - i), EAX pushed first.
+        self.memory.write_words(esp, regs.gpr[::-1], actor, descending=True)
         task.saved_esp = esp
         regs.esp = esp
 
@@ -350,14 +346,11 @@ class Kernel:
         """
         regs = self.platform.cpu.regs
         esp = task.saved_esp
-        # push_gpr_frame stored register i at esp + 4 * (COUNT - 1 - i).
-        for index in range(Reg.COUNT):
-            value = self.memory.read_u32(
-                esp + 4 * (Reg.COUNT - 1 - index), actor
-            )
-            if index == Reg.ESP:
-                continue  # ESP's slot is a snapshot; real ESP is computed
-            regs.write(index, value)
+        # push_gpr_frame stored register i at esp + 4 * (COUNT - 1 - i),
+        # so the frame reads back EAX first.
+        frame = self.memory.read_words(esp, Reg.COUNT, actor, descending=True)
+        regs.gpr[:] = frame[::-1]
+        # ESP's slot is a snapshot; the real ESP is computed.
         regs.esp = esp + FRAME_GPR_BYTES
         task.saved_esp = None
 
@@ -785,9 +778,8 @@ class Kernel:
         modelling that table is equivalent).
         """
         actor = self.memory.HW_ACTOR if task.is_secure else self.os_actor
-        rd = self.memory.read_u32(task.inbox_base + INBOX_RD, actor)
-        wr = self.memory.read_u32(task.inbox_base + INBOX_WR, actor)
-        return rd, wr
+        # The write index is the word after the read index.
+        return self.memory.read_words(task.inbox_base + INBOX_RD, 2, actor)
 
     # .. native tasks ..............................................................
 

@@ -597,3 +597,28 @@ class TestFleetCfa:
     def test_unknown_rogue_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             FleetConfig(devices=2, rogue_mode="melt")
+
+
+class TestCfaOverheadBench:
+    def test_overhead_compares_the_fastest_run_of_each_side(self, monkeypatch):
+        from repro.perf import bench_core
+
+        # Per mode: interleaved off/on pairs.  The fastest off run is the
+        # second (1.0 s), the fastest on run the second too (2.0 s); the
+        # first pair alone would read 25%.
+        pair_times = [3.0, 4.0, 1.0, 2.0, 2.0, 5.0]
+        times = iter(pair_times * len(bench_core.MODES))
+        real_run = bench_core._run
+
+        def timed_run(cpu, timer):
+            real_run(cpu, timer)
+            return next(times)
+
+        monkeypatch.setattr(bench_core, "_run", timed_run)
+        result = bench_core.run_cfa_bench(instructions=2_000)
+        assert next(times, None) is None  # every run was a timed pair
+        for mode in bench_core.MODES:
+            entry = result["modes"][mode]
+            assert entry["off_insns_per_sec"] == result["retired"] / 1.0
+            assert entry["on_insns_per_sec"] == result["retired"] / 2.0
+            assert entry["recording_overhead_pct"] == 50.0

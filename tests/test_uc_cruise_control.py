@@ -105,3 +105,29 @@ class TestControlBehaviour:
         assert uc._control_law(1500, None) == 1000  # clamped
         assert uc._control_law(800, 100) == 200  # distance-limited
         assert uc._control_law(800, 600) == 800  # far: driver demand
+
+
+class TestContextFrames:
+    def test_frames_never_fall_back_to_per_word_accesses(self, uc_system):
+        """Every context save and restore of the running t2 copies its
+        GPR frame in one slab transfer, and no bus transfer of the
+        20 ms window takes the per-word path."""
+        system, uc = uc_system
+        kernel = system.kernel
+        stats = system.platform.memory.range_stats
+        frames = []
+        for name in ("push_gpr_frame", "pop_gpr_frame"):
+            def counted(task, actor, _frame=getattr(kernel, name)):
+                before = (stats.hits, stats.misses)
+                _frame(task, actor)
+                frames.append((stats.hits - before[0], stats.misses - before[1]))
+
+            setattr(kernel, name, counted)
+        uc.activate_cruise_control()
+        system.run(until=lambda: uc.t2_result.done)
+        misses = stats.misses
+        frames.clear()
+        system.run(max_cycles=int(0.020 * system.platform.config.hz))
+        assert len(frames) >= 20  # t2 is switched in and out each period
+        assert frames == [(1, 0)] * len(frames)
+        assert stats.misses == misses
