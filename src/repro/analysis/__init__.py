@@ -12,7 +12,7 @@ that as possible *before* admission:
   longest path over the reducible CFG with loop-bound annotations;
 * :mod:`repro.analysis.summary` - per-block memory-access summaries
   (which operands fold to constant addresses - the static mirror of the
-  block translator's hoisted EA-MPU windows);
+  JIT's hoisted EA-MPU windows in compiled blocks and traces);
 * :mod:`repro.analysis.verifier` - policy, report, and the
   :func:`verify_image` driver;
 * :mod:`repro.analysis.corpus` - known-bad fixtures and the shipped

@@ -242,6 +242,9 @@ class Platform:
         #: The devices whose class overrides :meth:`MmioDevice.tick`:
         #: the only ones :meth:`poll_devices` has to call.
         self._ticking = []
+        #: The devices whose class overrides :meth:`MmioDevice.next_event`
+        #: (the time-keeping ones): the clock's only device event sources.
+        self._timed = []
         for index, device in enumerate(
             (
                 self.tick_timer,
@@ -325,12 +328,19 @@ class Platform:
     # -- device timekeeping --------------------------------------------------
 
     def _add_device(self, device, base):
-        """Map ``device``'s MMIO window at ``base`` and watch its events."""
+        """Map ``device``'s MMIO window at ``base`` and watch its events.
+
+        Only a device that overrides :meth:`MmioDevice.next_event` can
+        ever raise an IRQ on its own, so only such a device becomes a
+        clock event source (the base method always answers ``None``).
+        """
         self.memory.map.add(MmioRegion(device, base))
         self._devices.append(device)
         if type(device).tick is not MmioDevice.tick:
             self._ticking.append(device)
-        self.clock.add_event_source(device.next_event)
+        if type(device).next_event is not MmioDevice.next_event:
+            self._timed.append(device)
+            self.clock.add_event_source(device.next_event)
 
     def poll_devices(self):
         """Let every device that keeps time observe the current time.
@@ -345,7 +355,7 @@ class Platform:
     def next_device_event(self):
         """Earliest future device event, or ``None``."""
         events = []
-        for device in self._devices:
+        for device in self._timed:
             when = device.next_event()
             if when is not None:
                 events.append(when)

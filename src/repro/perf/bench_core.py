@@ -4,9 +4,9 @@ Runs three self-terminating workloads through identically configured
 rigs (one per mode) and reports wall-clock instructions/sec, the
 speedups, and the cache hit rates:
 
-* ``alu`` - a long straight-line ALU loop: the block translator's best
-  case (one block per iteration, all flag writes dead except the
-  loop counter's).
+* ``alu`` - a long straight-line ALU loop: the JIT's best case (one
+  compiled block per iteration, and one looping trace with a counted-loop
+  fast body, all flag writes dead except the loop counter's).
 * ``mem`` - a load/store-heavy loop: every iteration pays data-access
   EA-MPU checks, so this is the workload that exercises the
   ``mpu_access`` decision memo (the ALU loop never touches it: fetches

@@ -19,7 +19,9 @@ as a linear trace whose items are all straight-line instructions.
 * the whole trace compiles to one Python function that keeps the CPU
   registers in **Python locals**, folds chains of register operations
   symbolically (six ``subi edi, 1`` become one ``r7 = (r7 - 6) &
-  0xFFFFFFFF``), elides dead flag computation, performs translated
+  0xFFFFFFFF``) and computes each value once, elides dead flag
+  computation and defers EFLAGS a body reads only on its way out to
+  the exits that write them back, performs translated
   loads/stores as **direct slab indexing** (:class:`repro.hw.memory`'s
   ``memoryview`` word views) inside hoisted EA-MPU allow windows, and
   charges cycles in one batch per trace segment;
@@ -310,17 +312,22 @@ class _FoldEmitter:
 
     Each GPR lives in a local ``r0``..``r7``.  Flag-dead register
     operations do not emit statements immediately: they accumulate
-    *symbolically* as a base (the local, a known constant, or a copied
-    expression) plus a chain of pending ops, and adjacent ops fold
-    (``subi edi,1`` six times renders as one ``r7 = (r7 - 6) &
-    4294967295``).  A chain materializes into a single assignment only
-    when forced:
+    *symbolically* as a base (the local, a known constant, or the local
+    of the register a ``mov`` copied) plus a chain of pending ops, and
+    adjacent ops fold (``subi edi,1`` six times renders as one ``r7 =
+    (r7 - 6) & 4294967295``).  A chain materializes into a single
+    assignment only when forced:
 
     * another chain captured this register's local and that local is
       about to be reassigned (dependency flush - chains always render
       against the local values they were captured from);
-    * a flag-live computation or memory operand needs the value in a
-      temp;
+    * a second consumer takes the value - a ``mov``, another chain's
+      operand, a store value or an address (:meth:`value_expr`): the
+      register itself is the first, so the chain is spilled once into
+      its local and every consumer reads that, instead of rendering the
+      same expression twice in one iteration;
+    * a flag-live computation on the register (its chain becomes the
+      computation's operand);
     * the loop-bottom fixpoint (the loop-top assumption is "every
       register is in its local", so the bottom restores exactly that);
     * an exit writeback - which *peeks* (renders without resetting), so
@@ -332,18 +339,15 @@ class _FoldEmitter:
     only where required - before a ``>>`` and at materialization.
     """
 
-    INLINE_OPS = 2  # longest chain worth inlining into another chain
-    INLINE_USES = 2  # times one pending chain may be inlined
     CHAIN_LIMIT = 6  # pending ops per register before forced spill
 
     def __init__(self, out, indent):
         self.out = out
         self.indent = indent
         # base[i]: None = local holds the value; int = known constant;
-        # ("expr", text, deps, clean) = copied expression (mov).
+        # ("copy", k) = the value local ``r{k}`` holds (mov).
         self.base = [None] * 8
         self.ops = [[] for _ in range(8)]
-        self.inl = [0] * 8
 
     def emit(self, text):
         self.out.emit(self.indent, text)
@@ -362,7 +366,7 @@ class _FoldEmitter:
         elif isinstance(base, int):
             expr, deps, clean = str(base), set(), True
         else:
-            expr, deps, clean = base[1], set(base[2]), base[3]
+            expr, deps, clean = "r%d" % base[1], {base[1]}, True
         for op in self.ops[j]:
             tag = op[0]
             if tag == "add":
@@ -398,19 +402,16 @@ class _FoldEmitter:
                 expr = "(%s * %s)" % (expr, operand)
                 deps |= odeps
                 clean = False
-            else:  # and / or / xor
+            else:  # and / or / xor, with a clean operand
                 if len(op) == 2:
-                    operand, odeps, oclean = str(op[1]), set(), True
+                    operand, odeps = str(op[1]), set()
                 else:
-                    operand, odeps, oclean = op[1], op[2], op[3]
+                    operand, odeps = op[1], op[2]
                 symbol = "&" if tag == "and" else ("|" if tag == "or" else "^")
                 expr = "(%s %s %s)" % (expr, symbol, operand)
                 deps |= odeps
                 if tag == "and":
-                    # masking by either clean operand bounds the result
-                    clean = clean or oclean
-                else:
-                    clean = clean and oclean
+                    clean = True  # masking by a clean operand bounds the result
         return expr, deps, clean
 
     def render_clean(self, j):
@@ -468,7 +469,6 @@ class _FoldEmitter:
         for j in pending:
             self.base[j] = None
             self.ops[j] = []
-            self.inl[j] = 0
 
     def materialize(self, j):
         """Spill ``j``'s symbolic value into its local.
@@ -501,34 +501,32 @@ class _FoldEmitter:
         """
         self.base[j] = None
         self.ops[j] = []
-        self.inl[j] = 0
 
     def materialize_all(self):
         for j in range(8):
             self.materialize(j)
 
-    def value_expr(self, consumer, j, need_clean=True):
-        """``j``'s value as an operand for ``consumer``'s chain.
+    def value_expr(self, j):
+        """``j``'s value as an operand: ``(text, deps)``, always clean.
 
-        Short chains inline (bounded by the INLINE_* knobs); anything
-        else - including a would-be dependency cycle with ``consumer`` -
-        materializes first.  Returns ``(expr, deps, clean)``.
+        A constant is its literal and a register in its local (or a copy
+        of one) that local's name.  A pending chain is spilled into its
+        own local first, so the value is computed once however many
+        consumers read it.  So is a copy of a register whose own chain
+        is pending: that register's spill would reassign the local the
+        copy names, and a caller may render a second operand (which can
+        spill) before it emits the first.
         """
-        ops = self.ops[j]
-        if not ops:
-            base = self.base[j]
+        base = self.base[j]
+        if not self.ops[j]:
             if base is None:
-                return "r%d" % j, {j}, True
+                return "r%d" % j, {j}
             if isinstance(base, int):
-                return str(base), set(), True
-        expr, deps, clean = self.render(j)
-        if len(ops) <= self.INLINE_OPS and self.inl[j] < self.INLINE_USES and consumer not in deps:
-            self.inl[j] += 1
-            if need_clean and not clean:
-                return "(%s & 4294967295)" % expr, deps, True
-            return expr, deps, clean
+                return str(base), set()
+            if not self._pending(base[1]):
+                return "r%d" % base[1], {base[1]}
         self.materialize(j)
-        return "r%d" % j, {j}, True
+        return "r%d" % j, {j}
 
     # -- op application (flag-dead folding) --------------------------
 
@@ -578,7 +576,7 @@ class _FoldEmitter:
         self._push(x, ("add", [(sign, expr, deps)], 0))
 
     def apply_logic(self, x, tag, operand):
-        """``tag`` in and/or/xor; const int or ``(expr, deps, clean)``."""
+        """``tag`` in and/or/xor; const int or ``(expr, deps)``."""
         ops = self.ops[x]
         if isinstance(operand, int):
             v = operand & _M
@@ -611,8 +609,8 @@ class _FoldEmitter:
                 return
             self._push(x, (tag, v))
             return
-        expr, deps, clean = operand
-        self._push(x, (tag, expr, deps, clean))
+        expr, deps = operand
+        self._push(x, (tag, expr, deps))
 
     def apply_shift(self, x, tag, amount):
         """``amount`` is a raw const int or ``(expr, deps)`` (& 31 added)."""
@@ -676,12 +674,9 @@ class _FoldEmitter:
         value rendered before it reads (``add edi, esi; add esi, ebp;
         mov ebp, edi`` spills ``esi`` and ``edi`` together)."""
         self.flush_dependents(x)
-        expr, deps, clean = self.value_expr(x, y, need_clean=False)
+        expr, deps = self.value_expr(y)
         self.drop(x)
-        if not deps and clean and expr.isdigit():
-            self.base[x] = int(expr)
-        else:
-            self.base[x] = ("expr", expr, frozenset(deps), clean)
+        self.base[x] = ("copy", deps.pop()) if deps else int(expr)
 
 
 _ESP = 4  # Reg.ESP
@@ -698,6 +693,14 @@ _REG_WRITES = frozenset(
      Op.SHR, Op.MUL, Op.ADDI, Op.SUBI, Op.ANDI, Op.ORI, Op.XORI,
      Op.SHLI, Op.SHRI, Op.NOT, Op.NEG, Op.LD, Op.LDB, Op.LDH, Op.POP}
 )
+
+#: Flag-writing arithmetic by deferred-EFLAGS helper family (``f<family>``
+#: in :func:`_trace_namespace`); every other flag writer is ``flogic``.
+_ARITH_FAMILY = {
+    Op.ADD: "add", Op.ADDI: "add",
+    Op.SUB: "sub", Op.SUBI: "sub", Op.CMP: "sub", Op.CMPI: "sub", Op.NEG: "sub",
+    Op.MUL: "mul",
+}
 
 _LOAD_SITES = frozenset({Op.LD, Op.LDB, Op.LDH, Op.POP})
 _STORE_SITES = frozenset({Op.ST, Op.STB, Op.STH, Op.PUSH, Op.PUSHI})
@@ -807,35 +810,114 @@ def _reg_usage(items):
     return used | written, written
 
 
-def _flag_needs(items, cuts=None):
-    """Which flag-writing items must keep ``fl`` current.
+#: :func:`_flag_needs` verdicts: how a flag-writing item keeps EFLAGS.
+_FLAGS_DEAD, _FLAGS_INLINE, _FLAGS_DEFERRED = 0, 1, 2
 
-    Same backward scan as the block translator, with guards as an extra
-    observation point (they branch on ``fl``).  For looping traces the
-    closing guard/jmp is the last item, so a writer near the bottom is
-    observed before the next iteration's writers can kill it -
-    cross-iteration liveness needs no special casing.
 
-    ``cuts`` (segment bodies only) adds each checkpoint as an
-    observation point: a checkpoint exit writes EFLAGS back, so the
-    last flag writer before every cut must be live.
+def _flag_needs(items, cuts=None, looping=False):
+    """How each flag-writing item keeps EFLAGS (``_FLAGS_*`` per item).
+
+    A backward scan from the body's end: the last flag writer before an
+    observation point is observed, every earlier one is dead.  A guard
+    branches on ``fl``, and a segment checkpoint (``cuts``, segment
+    bodies only) writes EFLAGS back at a boundary a resumed dispatch
+    may enter with only ``regs.eflags`` to go on, so the last writer
+    before either computes ``fl`` inline (``_FLAGS_INLINE``).  A memory
+    op's slow path and self-modification abort read EFLAGS only on the
+    way out: a writer observed by nothing else keeps just its operands,
+    and those exits materialize the flags from them
+    (``_FLAGS_DEFERRED``).  So does a looping body's final writeback,
+    which runs once per dispatch, not once per iteration; a linear
+    body's runs on every pass, where computing ``fl`` inline is cheaper
+    than a helper call.
+
+    In a ``looping`` body the last writer of an iteration also reaches,
+    across the back edge, every exit before the next iteration's first
+    writer; its operands would have to survive the back edge, so it
+    stays inline when such an exit exists (a closing guard already
+    makes it inline).
     """
-    needs = [False] * len(items)
-    live = True
+    needs = [_FLAGS_DEAD] * len(items)
+    seen = _FLAGS_DEFERRED if looping else _FLAGS_INLINE  # the final writeback
+    last = None
     for idx in range(len(items) - 1, -1, -1):
         if cuts is not None and cuts[idx]:
-            live = True
+            seen = _FLAGS_INLINE
         kind = items[idx][0]
         if kind == "guard":
-            live = True
+            seen = _FLAGS_INLINE
         elif kind == "insn":
             opcode = items[idx][2].opcode
             if opcode in MEM_OPS:
-                live = True
+                seen = seen or _FLAGS_DEFERRED
             elif opcode in _FLAG_WRITERS:
-                needs[idx] = live
-                live = False
+                needs[idx] = seen
+                seen = _FLAGS_DEAD
+                if last is None:
+                    last = idx
+    if looping and seen and last is not None:
+        needs[last] = _FLAGS_INLINE
     return needs
+
+
+# -- deferred EFLAGS ---------------------------------------------------------
+#
+# One helper per flag family: the EFLAGS a deferred writer leaves,
+# recomputed at an exit from the operands it kept, exactly as the
+# interpreter's ``_alu_*`` handlers set them; ``fl`` supplies every
+# other bit.
+
+
+def _flags_add(fl, a, b):
+    raw = a + b
+    res = raw & _M
+    fl &= _FLAG_KEEP
+    if raw > _M:
+        fl |= 1
+    if res == 0:
+        fl |= 64
+    if res & _SIGN:
+        fl |= 128
+    if not (a ^ b) & _SIGN and (a ^ res) & _SIGN:
+        fl |= 2048
+    return fl
+
+
+def _flags_sub(fl, a, b):
+    raw = a - b
+    res = raw & _M
+    fl &= _FLAG_KEEP
+    if raw < 0:
+        fl |= 1
+    if res == 0:
+        fl |= 64
+    if res & _SIGN:
+        fl |= 128
+    if (a ^ b) & _SIGN and (a ^ res) & _SIGN:
+        fl |= 2048
+    return fl
+
+
+def _flags_mul(fl, a, b):
+    raw = a * b
+    res = raw & _M
+    fl &= _FLAG_KEEP
+    if raw > _M:
+        fl |= 2049  # CF and OF together
+    if res == 0:
+        fl |= 64
+    if res & _SIGN:
+        fl |= 128
+    return fl
+
+
+def _flags_logic(fl, res):
+    fl &= _FLAG_KEEP  # logic clears CF and OF
+    if res == 0:
+        fl |= 64
+    if res & _SIGN:
+        fl |= 128
+    return fl
 
 
 def _simple(text):
@@ -876,7 +958,7 @@ def generate_trace(trace, fast=False, segment=False):
     looping = trace.looping and not segment  # the segment body is linear
     used, written = _reg_usage(items)
     cuts = _checkpoint_plan(items)[0] if segment else None
-    needs = [False] * len(items) if fast else _flag_needs(items, cuts)
+    needs = [_FLAGS_DEAD] * len(items) if fast else _flag_needs(items, cuts, looping)
     load_n = {1: 0, 2: 0, 4: 0}
     store_n = {1: 0, 2: 0, 4: 0}
     site_meta = []  # (width, is_store) per memory site, in site order
@@ -1048,9 +1130,13 @@ def generate_trace(trace, fast=False, segment=False):
                     continue
                 out.emit(ind, "%s%d.hits += %s" % (name_, width, expr))
 
+    #: The EFLAGS an exit writes back: ``fl`` itself, or the helper call
+    #: that materializes them from the last deferred writer's operands.
+    flags_now = "fl"
+
     def emit_exit(ind, eip, ret_k, cyc, kl, ks, guard=False):
         emit_writebacks(ind)
-        out.emit(ind, "regs.eflags = fl")
+        out.emit(ind, "regs.eflags = %s" % flags_now)
         if ret_k:
             out.emit(ind, "cpu.retired += ret + %d" % ret_k)
         else:
@@ -1080,7 +1166,7 @@ def generate_trace(trace, fast=False, segment=False):
             out.emit(ind, "cpu.retired += ret")
         out.emit(ind, "ret = %d" % -(ret_k + 1))
         out.emit(ind, "regs.eip = %d" % address)
-        out.emit(ind, "regs.eflags = fl")
+        out.emit(ind, "regs.eflags = %s" % flags_now)
         emit_writebacks(ind)
 
     def win_cond(site, width, ea):
@@ -1158,11 +1244,11 @@ def generate_trace(trace, fast=False, segment=False):
             "w%dl, w%dh, w%dv, w%db = w[:4]" % (site, site, site, site),
         )
 
-    def emit_fl(carry=None, overflow=None):
+    def emit_fl(carry=None, overflow=None, carry_bits=1):
         em.emit("fl = fl & %d" % _FLAG_KEEP)
         if carry is not None:
             em.emit("if %s:" % carry)
-            out.emit(em.indent + 1, "fl |= 1")
+            out.emit(em.indent + 1, "fl |= %d" % carry_bits)
         em.emit("if res == 0:")
         out.emit(em.indent + 1, "fl |= 64")
         em.emit("if res & %d:" % _SIGN)
@@ -1171,22 +1257,29 @@ def generate_trace(trace, fast=False, segment=False):
             em.emit("if %s:" % overflow)
             out.emit(em.indent + 1, "fl |= 2048")
 
-    def operand(consumer, j):
+    def operand(j):
         """Flag-dead operand: const int, or ``(expr, deps)``."""
-        expr, deps, clean = em.value_expr(consumer, j, need_clean=False)
-        if not deps and clean and expr.isdigit():
-            return int(expr)
-        return expr, deps
+        expr, deps = em.value_expr(j)
+        return (expr, deps) if deps else int(expr)
 
     def addr_text(insn):
         """Effective-address expression (clean) for a ld/st operand."""
         y = insn.reg2
         if not em.ops[y] and isinstance(em.base[y], int):
             return str((em.base[y] + insn.imm) & _M)
-        expr, _, __ = em.value_expr(None, y, need_clean=True)
+        expr, _ = em.value_expr(y)
         if insn.imm:
             return "(%s + %d) & 4294967295" % (expr, insn.imm)
         return expr
+
+    def kept(text, name):
+        """A deferred writer's operand as exits will read it: a literal
+        or a register local the body never reassigns as is, anything
+        else saved into the local ``name`` first."""
+        if text.isdigit() or (_simple(text) and int(text[1]) not in written):
+            return text
+        em.emit("%s = %s" % (name, text))
+        return name
 
     def emit_store_paths(site, ea, value, size, address, nxt, base_c, ret_k, cyc):
         """Window-hit fast path (single snoop-page probe + direct slab
@@ -1304,16 +1397,12 @@ def generate_trace(trace, fast=False, segment=False):
             elif not flags:
                 em.make_room(x)
                 if opcode in (Op.ADD, Op.SUB):
-                    em.apply_add(x, 1 if opcode is Op.ADD else -1, operand(x, y))
+                    em.apply_add(x, 1 if opcode is Op.ADD else -1, operand(y))
                 elif opcode in (Op.ADDI, Op.SUBI):
                     em.apply_add(x, 1 if opcode is Op.ADDI else -1, insn.imm)
                 elif opcode in (Op.AND, Op.OR, Op.XOR):
                     tag = "and" if opcode is Op.AND else ("or" if opcode is Op.OR else "xor")
-                    expr, deps, clean = em.value_expr(x, y, need_clean=False)
-                    if not deps and clean and expr.isdigit():
-                        em.apply_logic(x, tag, int(expr))
-                    else:
-                        em.apply_logic(x, tag, (expr, deps, clean))
+                    em.apply_logic(x, tag, operand(y))
                 elif opcode in (Op.ANDI, Op.ORI, Op.XORI):
                     tag = "and" if opcode is Op.ANDI else ("or" if opcode is Op.ORI else "xor")
                     em.apply_logic(x, tag, insn.imm)
@@ -1322,98 +1411,100 @@ def generate_trace(trace, fast=False, segment=False):
                 elif opcode is Op.NEG:
                     em.apply_neg(x)
                 elif opcode in (Op.SHL, Op.SHR):
-                    em.apply_shift(x, "shl" if opcode is Op.SHL else "shr", operand(x, y))
+                    em.apply_shift(x, "shl" if opcode is Op.SHL else "shr", operand(y))
                 elif opcode in (Op.SHLI, Op.SHRI):
                     em.apply_shift(x, "shl" if opcode is Op.SHLI else "shr", insn.imm)
                 elif opcode is Op.MUL:
-                    em.apply_mul(x, operand(x, y))
+                    em.apply_mul(x, operand(y))
                 else:  # pragma: no cover - ALU_OPS is closed
                     raise AssertionError("untranslatable ALU op %r" % opcode)
-            else:
-                # flag-live: explicit temps, flags into the fl local
+            elif opcode in _ARITH_FAMILY:
+                # flag-live arithmetic: the result into its local, and
+                # the flags into ``fl`` (inline) or, deferred, only the
+                # operands the exits rebuild them from
                 em.flush_dependents(x)
-                if opcode in (Op.ADD, Op.ADDI):
-                    if opcode is Op.ADD:
-                        b_expr, _, __ = em.value_expr(x, y, need_clean=True)
+                family = _ARITH_FAMILY[opcode]
+                if opcode is Op.NEG:
+                    a_expr, b_expr = "0", em.render_clean(x)
+                elif opcode in _TWO_REG:
+                    b_expr = em.value_expr(y)[0]
+                    a_expr = em.render_clean(x)
+                else:
+                    a_expr, b_expr = em.render_clean(x), str(insn.imm & _M)
+                symbol = {"add": "+", "sub": "-", "mul": "*"}[family]
+                writes = opcode not in (Op.CMP, Op.CMPI)
+                if flags == _FLAGS_DEFERRED:
+                    a_expr = kept(a_expr, "fa")
+                    b_expr = kept(b_expr, "fb")
+                    if writes:
+                        em.drop(x)
+                        em.emit("r%d = (%s %s %s) & 4294967295" % (x, a_expr, symbol, b_expr))
+                    flags_now = "f%s(fl, %s, %s)" % (family, a_expr, b_expr)
+                else:
+                    if family == "mul":
+                        em.emit("raw = %s * %s" % (a_expr, b_expr))
                     else:
-                        b_expr = str(insn.imm & _M)
-                    em.emit("a = %s" % em.render_clean(x))
-                    em.emit("b = %s" % b_expr)
-                    em.emit("raw = a + b")
-                    em.emit("res = raw & 4294967295")
-                    em.drop(x)
-                    em.emit("r%d = res" % x)
-                    emit_fl(
-                        carry="raw > %d" % _M,
-                        overflow="not ((a ^ b) & %d) and ((a ^ res) & %d)" % (_SIGN, _SIGN),
-                    )
-                elif opcode in (Op.SUB, Op.SUBI, Op.CMP, Op.CMPI, Op.NEG):
-                    if opcode is Op.NEG:
-                        a_expr, b_expr = "0", em.render_clean(x)
-                    elif opcode in (Op.SUB, Op.CMP):
-                        b_expr, _, __ = em.value_expr(x, y, need_clean=True)
-                        a_expr = em.render_clean(x)
-                    else:
-                        a_expr, b_expr = em.render_clean(x), str(insn.imm & _M)
-                    writes = opcode not in (Op.CMP, Op.CMPI)
-                    em.emit("a = %s" % a_expr)
-                    em.emit("b = %s" % b_expr)
-                    em.emit("raw = a - b")
+                        em.emit("a = %s" % a_expr)
+                        em.emit("b = %s" % b_expr)
+                        em.emit("raw = a %s b" % symbol)
                     em.emit("res = raw & 4294967295")
                     if writes:
                         em.drop(x)
                         em.emit("r%d = res" % x)
-                    emit_fl(
-                        carry="raw < 0",
-                        overflow="((a ^ b) & %d) and ((a ^ res) & %d)" % (_SIGN, _SIGN),
-                    )
-                elif opcode is Op.MUL:
-                    b_expr, _, __ = em.value_expr(x, y, need_clean=True)
-                    em.emit("raw = %s * %s" % (em.render_clean(x), b_expr))
-                    em.emit("res = raw & 4294967295")
+                    if family == "add":
+                        emit_fl(
+                            carry="raw > %d" % _M,
+                            overflow="not ((a ^ b) & %d) and ((a ^ res) & %d)" % (_SIGN, _SIGN),
+                        )
+                    elif family == "sub":
+                        emit_fl(
+                            carry="raw < 0",
+                            overflow="((a ^ b) & %d) and ((a ^ res) & %d)" % (_SIGN, _SIGN),
+                        )
+                    else:
+                        emit_fl(carry="raw > %d" % _M, carry_bits=2049)  # CF and OF
+                    flags_now = "fl"
+            else:
+                # flag-live logic family: AND/OR/XOR/SHL/SHR (+imm), NOT
+                em.flush_dependents(x)
+                if opcode in _TWO_REG:
+                    b_expr = em.value_expr(y)[0]
+                a_expr = em.render_clean(x)
+                if opcode is Op.AND:
+                    expr = "%s & %s" % (a_expr, b_expr)
+                elif opcode is Op.OR:
+                    expr = "%s | %s" % (a_expr, b_expr)
+                elif opcode is Op.XOR:
+                    expr = "%s ^ %s" % (a_expr, b_expr)
+                elif opcode is Op.ANDI:
+                    expr = "%s & %d" % (a_expr, insn.imm & _M)
+                elif opcode is Op.ORI:
+                    expr = "%s | %d" % (a_expr, insn.imm & _M)
+                elif opcode is Op.XORI:
+                    expr = "%s ^ %d" % (a_expr, insn.imm & _M)
+                elif opcode is Op.SHL:
+                    expr = "(%s << (%s & 31)) & 4294967295" % (a_expr, b_expr)
+                elif opcode is Op.SHR:
+                    expr = "%s >> (%s & 31)" % (a_expr, b_expr)
+                elif opcode is Op.SHLI:
+                    expr = "(%s << %d) & 4294967295" % (a_expr, insn.imm & 31)
+                elif opcode is Op.SHRI:
+                    expr = "%s >> %d" % (a_expr, insn.imm & 31)
+                elif opcode is Op.NOT:
+                    expr = "(~%s) & 4294967295" % a_expr
+                else:  # pragma: no cover - ALU_OPS is closed
+                    raise AssertionError("untranslatable ALU op %r" % opcode)
+                if flags == _FLAGS_DEFERRED:
+                    em.emit("fa = %s" % expr)
                     em.drop(x)
-                    em.emit("r%d = res" % x)
-                    # MUL sets CF and OF together (raw overflowed 32 bits)
-                    em.emit("fl = fl & %d" % _FLAG_KEEP)
-                    em.emit("if raw > %d:" % _M)
-                    out.emit(em.indent + 1, "fl |= 2049")
-                    em.emit("if res == 0:")
-                    out.emit(em.indent + 1, "fl |= 64")
-                    em.emit("if res & %d:" % _SIGN)
-                    out.emit(em.indent + 1, "fl |= 128")
+                    em.emit("r%d = fa" % x)
+                    flags_now = "flogic(fl, fa)"
                 else:
-                    # the logic family: AND/OR/XOR/SHL/SHR (+imm), NOT
-                    if opcode in (Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR):
-                        b_expr, _, __ = em.value_expr(x, y, need_clean=opcode is not Op.SHL)
-                    a_expr = em.render_clean(x)
-                    if opcode is Op.AND:
-                        expr = "%s & %s" % (a_expr, b_expr)
-                    elif opcode is Op.OR:
-                        expr = "%s | %s" % (a_expr, b_expr)
-                    elif opcode is Op.XOR:
-                        expr = "%s ^ %s" % (a_expr, b_expr)
-                    elif opcode is Op.ANDI:
-                        expr = "%s & %d" % (a_expr, insn.imm & _M)
-                    elif opcode is Op.ORI:
-                        expr = "%s | %d" % (a_expr, insn.imm & _M)
-                    elif opcode is Op.XORI:
-                        expr = "%s ^ %d" % (a_expr, insn.imm & _M)
-                    elif opcode is Op.SHL:
-                        expr = "(%s << (%s & 31)) & 4294967295" % (a_expr, b_expr)
-                    elif opcode is Op.SHR:
-                        expr = "%s >> (%s & 31)" % (a_expr, b_expr)
-                    elif opcode is Op.SHLI:
-                        expr = "(%s << %d) & 4294967295" % (a_expr, insn.imm & 31)
-                    elif opcode is Op.SHRI:
-                        expr = "%s >> %d" % (a_expr, insn.imm & 31)
-                    elif opcode is Op.NOT:
-                        expr = "(~%s) & 4294967295" % a_expr
-                    else:  # pragma: no cover - ALU_OPS is closed
-                        raise AssertionError("untranslatable ALU op %r" % opcode)
                     em.emit("res = %s" % expr)
                     em.drop(x)
                     em.emit("r%d = res" % x)
                     emit_fl()  # logic clears CF and OF
+                    flags_now = "fl"
             K += 1
             C += base_c
             emit_checkpoint(idx)
@@ -1432,16 +1523,7 @@ def generate_trace(trace, fast=False, segment=False):
                 em.drop(x)
             elif opcode in (Op.ST, Op.STH, Op.STB):
                 size = _SITE_WIDTH[opcode]
-                # Spill a pending value chain into its register local
-                # instead of rendering it into the store: in a steady
-                # loop the chain almost always feeds later uses too, and
-                # inlining would compute it here and again at the
-                # loop-bottom spill.
-                if not em.ops[x] and isinstance(em.base[x], int):
-                    value = str(em.base[x])
-                else:
-                    em.materialize(x)
-                    value = "r%d" % x
+                value = em.value_expr(x)[0]
                 if size != 4:
                     mask = _SIZE_MASKS[size]
                     value = (
@@ -1452,18 +1534,8 @@ def generate_trace(trace, fast=False, segment=False):
             elif opcode in (Op.PUSH, Op.PUSHI):
                 # value read before the ESP move (push esp stores the
                 # old value); the EA itself comes from the plan.
-                if opcode is Op.PUSH and x != _ESP:
-                    # same spill-don't-inline policy as the store arm
-                    if not em.ops[x] and isinstance(em.base[x], int):
-                        value = str(em.base[x])
-                    else:
-                        em.materialize(x)
-                        value = "r%d" % x
-                elif opcode is Op.PUSH:
-                    # push esp: render inline so the pending ESP chain
-                    # (which balanced push/pop cancellation may yet
-                    # erase) is not spilled mid-iteration.
-                    value, _, __ = em.value_expr(None, x, need_clean=True)
+                if opcode is Op.PUSH:
+                    value = em.value_expr(x)[0]
                 else:
                     value = str(insn.imm & _M)
                 em.emit("m%d[i%d] = %s" % (k, k, value))
@@ -1518,7 +1590,7 @@ def generate_trace(trace, fast=False, segment=False):
             if not _simple(ea):
                 em.emit("ea = %s" % ea)
                 ea = "ea"
-            value, _, __ = em.value_expr(None, x, need_clean=True)
+            value = em.value_expr(x)[0]
             if size != 4:
                 mask = _SIZE_MASKS[size]
                 value = (
@@ -1536,8 +1608,8 @@ def generate_trace(trace, fast=False, segment=False):
             # ``push esp`` stores the old value), and a faulting store
             # leaves ESP already decremented - exactly as CPU.push does.
             if opcode is Op.PUSH:
-                value, vdeps, _ = em.value_expr(None, x, need_clean=True)
-                if not _simple(value) or _ESP in vdeps:
+                value, vdeps = em.value_expr(x)
+                if _ESP in vdeps:
                     em.emit("v = %s" % value)
                     value = "v"
             else:
@@ -1630,9 +1702,11 @@ def generate_trace(trace, fast=False, segment=False):
         em.materialize_all()
         out.emit(2, "p += %d" % trace.iter_cost)
         out.emit(2, "ret += %d" % trace.iter_retire)
-        # natural exit at the head after n iterations
+        # natural exit at the head after n iterations (n >= 1: every
+        # dispatch admits a whole iteration, so a deferred last writer
+        # has bound its operands)
         emit_writebacks(1)
-        out.emit(1, "regs.eflags = fl")
+        out.emit(1, "regs.eflags = %s" % flags_now)
         out.emit(1, "cpu.retired += ret")
         out.emit(1, "if p:")
         out.emit(2, "clock.charge(p)")
@@ -1679,6 +1753,10 @@ def _trace_namespace(counters):
         "SL1": counters.slab_loads_u8,
         "SS1": counters.slab_stores_u8,
         "ge": counters.guard_exits.add,
+        "fadd": _flags_add,
+        "fsub": _flags_sub,
+        "fmul": _flags_mul,
+        "flogic": _flags_logic,
     }
 
 

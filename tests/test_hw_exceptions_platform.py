@@ -82,6 +82,27 @@ class TestPlatform:
         platform.tick_timer.start(platform.clock.now)
         assert platform.next_device_event() == platform.config.tick_period
 
+    def test_only_time_keeping_devices_are_event_sources(self, platform):
+        # The sensors, the actuator and the NIC never raise an IRQ on
+        # their own, so the event horizon polls none of them.
+        platform.attach_nic()
+        assert platform.clock._event_sources == [
+            platform._slice_deadline_source,
+            platform.tick_timer.next_event,
+            platform.rtc.next_event,
+        ]
+
+    def test_next_device_event_with_sensors_and_nic(self, platform):
+        platform.attach_nic()
+        assert platform.next_device_event() is None
+        platform.tick_timer.start(platform.clock.now)
+        assert platform.next_device_event() == platform.config.tick_period
+        platform.rtc.alarm = 100
+        platform.rtc.alarm_enabled = True
+        assert platform.next_device_event() == 100
+        platform.rtc.alarm = platform.config.tick_period + 1
+        assert platform.next_device_event() == platform.config.tick_period
+
     def test_key_fuses_hold_key(self, platform):
         raw = platform.memory.read_raw(platform.config.key_base, 20)
         assert raw == platform.key_store.raw_key()

@@ -9,18 +9,23 @@ running trace, the write snoop and the EA-MPU epoch drop cached
 traces, and the trace counters land on the platform's obs registry.
 """
 
+import ast
+
 import pytest
 
 from conftest import SPAN_EDGE_WRITES
 from repro.hw.platform import MachineConfig, Platform
+from repro.image.linker import link
+from repro.isa.assembler import assemble
 from repro.perf.bench_core import (
+    CODE_BASE,
     DATA_BASE,
     _build_mode_rig,
     _irq_source,
     _run,
     _snapshot,
 )
-from repro.perf.traces import TRACE_HOT_EDGE, build_trace, EdgeProfile
+from repro.perf.traces import TRACE_HOT_EDGE, build_trace, EdgeProfile, generate_trace
 
 #: A loop whose conditional branch flips direction partway through:
 #: ``jl skip`` is taken for the first 20 iterations and falls through
@@ -97,6 +102,47 @@ loop:
 """
 
 
+#: ``push ebx`` stores a copy of eax's old value, while eax's own
+#: pending chain reads esp: the push's esp spill reassigns eax's local,
+#: so the copy must be rendered from a local no spill can touch.
+_PUSH_COPY_SOURCE = """\
+start:
+    movi ecx, 50
+    movi eax, 1000
+loop:
+    mov ebx, eax
+    add eax, esp
+    xori edi, 1
+    push ebx
+    pop edx
+    movi eax, 7
+    subi ecx, 1
+    jnz loop
+    hlt
+"""
+
+#: perfbench compute's ALU task loop: closed by ``jmp``, so the two
+#: stores' exits and the final writeback are the only flag observers.
+_ALU_MIX_SOURCE = """\
+start:
+    movi eax, 7
+    movi edi, 0
+    movi ecx, 0
+    movi edx, 1103515245
+    movi esi, %d
+mix:
+    mul eax, edx
+    addi eax, 12345
+    mov ebx, eax
+    shri ebx, 7
+    xor edi, ebx
+    addi ecx, 1
+    st [esi], edi
+    st [esi+4], ecx
+    jmp mix
+""" % DATA_BASE
+
+
 def _pair(source, irq=False):
     """(block-tier-only snapshot, traces snapshot, traced cpu)."""
     ablated, ablated_timer = _build_mode_rig(source, "blocks", irq=irq)
@@ -133,6 +179,15 @@ class TestDifferential:
         # resume-into-trace CFA property, at every trace body kind).
         plain, traced, cpu = _pair(_MOV_SPILL_SOURCE)
         assert plain == traced
+        assert _trace_stats(cpu)["compiles"] > 0
+
+    def test_pushed_copy_survives_the_esp_spill(self):
+        # Regression: blocks and traces alike pushed eax's new value,
+        # eax + esp, so only the interpreter tells them wrong.
+        interpreted, _ = _build_mode_rig(_PUSH_COPY_SOURCE, "baseline")
+        _run(interpreted, None)
+        plain, traced, cpu = _pair(_PUSH_COPY_SOURCE)
+        assert _snapshot(interpreted, None) == plain == traced
         assert _trace_stats(cpu)["compiles"] > 0
 
     def test_guard_side_exit_identical(self):
@@ -210,6 +265,32 @@ loop:
         # the floor is a little under the 300 loop trips)
         assert stats["slab_load_u16"]["misses"] <= 50
         assert stats["slab_store_u16"]["misses"] >= 250
+
+
+class TestGeneratedShape:
+    def test_loop_body_computes_each_value_once(self):
+        """The product feeds ``mov``, the xor chain and the store; it is
+        rendered once per iteration, and the main line computes no flag
+        (the exits rebuild EFLAGS from the kept operands)."""
+        cpu, _ = _build_mode_rig(_ALU_MIX_SOURCE, "traces")
+        mix = link(assemble(_ALU_MIX_SOURCE), entry_symbol="mix", stack_size=64).entry
+        trace = build_trace(cpu.memory, CODE_BASE + mix, EdgeProfile())
+        assert trace.looping
+        tree = ast.parse(generate_trace(trace))
+        loop = next(node for node in ast.walk(tree) if isinstance(node, ast.While))
+        main_line = [
+            node
+            for statement in loop.body
+            if not isinstance(statement, ast.If)
+            for node in ast.walk(statement)
+        ]
+        products = [
+            node
+            for node in main_line
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        ]
+        assert len(products) == 1
+        assert "fl" not in {node.id for node in main_line if isinstance(node, ast.Name)}
 
 
 class TestSelfModification:

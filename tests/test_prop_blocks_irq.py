@@ -12,7 +12,12 @@ horizon-admitted superblocks.
 
 A third property adds stores to the ``near`` words placed right after
 the code, which share a snoop granule with it: they take the broadcast
-store path, and the exact-span snoop must never serve stale code.
+store path, and the exact-span snoop must never serve stale code.  A
+fourth closes the loop with ``jmp`` instead of a counted ``jnz``, the
+shape of perfbench's compute tasks.  The IRQ handler folds every
+interrupted EFLAGS word into the compared data, so a wrong EFLAGS at any
+interrupt boundary fails every property, even when the loop overwrites
+it before reading it.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -32,17 +37,24 @@ _disp = st.integers(min_value=0, max_value=0x38).map(lambda n: n * 4)
 #: Byte offsets into the ``near`` words right after the code.
 _near = st.integers(min_value=0, max_value=15).map(lambda n: n * 4)
 
+_alu_imm = st.tuples(st.sampled_from(("addi", "subi", "xori", "andi", "ori")), _reg, _imm).map(
+    lambda t: "%s %s, %d" % t
+)
+_alu_shift = st.tuples(st.sampled_from(("shli", "shri")), _reg, st.integers(0, 31)).map(
+    lambda t: "%s %s, %d" % t
+)
+_alu_unary = st.tuples(st.sampled_from(("not", "neg")), _reg).map(lambda t: "%s %s" % t)
+_alu_reg = st.tuples(st.sampled_from(("mov", "add", "sub", "xor", "mul", "cmp")), _reg, _reg).map(
+    lambda t: "%s %s, %s" % t
+)
+#: One register instruction; all but ``mov`` write the flags.
+_alu = st.one_of(_alu_imm, _alu_shift, _alu_unary, _alu_reg)
+
 _insn = st.one_of(
-    st.tuples(st.sampled_from(("addi", "subi", "xori", "andi", "ori")), _reg, _imm).map(
-        lambda t: "%s %s, %d" % t
-    ),
-    st.tuples(st.sampled_from(("shli", "shri")), _reg, st.integers(0, 31)).map(
-        lambda t: "%s %s, %d" % t
-    ),
-    st.tuples(st.sampled_from(("not", "neg")), _reg).map(lambda t: "%s %s" % t),
-    st.tuples(st.sampled_from(("mov", "add", "sub", "xor", "mul", "cmp")), _reg, _reg).map(
-        lambda t: "%s %s, %s" % t
-    ),
+    _alu_imm,
+    _alu_shift,
+    _alu_unary,
+    _alu_reg,
     st.tuples(st.sampled_from(("ld", "st")), _reg, _disp).map(
         lambda t: "%s %s, [ebx+%d]" % t if t[0] == "ld" else "st [ebx+%d], %s" % (t[2], t[1])
     ),
@@ -56,11 +68,40 @@ _near_store = st.tuples(st.sampled_from(("st", "stb")), _reg, _near).map(
     lambda t: "movi ebp, near\n%s [ebp+%d], %s" % (t[0], t[2], t[1])
 )
 
+_DATA_BASE = 0x0010_4000
+
+#: A flag writer right before a store into the ``near`` words: the
+#: store's broadcast path is the only thing that reads its flags.
+_flagged_near_store = st.tuples(_alu, _near_store).map("\n".join)
+
+#: A flag writer right before a store that writes the loop's first word
+#: back unchanged: it invalidates the running trace (the self-
+#: modification abort) without changing the program.  ecx is free in a
+#: ``jmp``-closed loop and no random instruction touches ebx or ecx.
+_self_rewrite = _alu.map(
+    lambda writer: "movi ebx, loop\nld ecx, [ebx+0]\n%s\nst [ebx+0], ecx\nmovi ebx, %d"
+    % (writer, _DATA_BASE)
+)
+
 
 def _program(body, iterations, data_base):
-    lines = ["start:", "movi ebx, %d" % data_base, "movi ecx, %d" % iterations, "sti", "loop:"]
+    """``body`` as a loop counted down in ecx, or (``iterations`` None)
+    closed with ``jmp`` like compute's tasks: no guard, it runs until
+    the cycle budget.
+
+    The IRQ handler counts ticks in ``data_base + 248`` and folds the
+    interrupted EFLAGS word (``[esp+12]`` under its two pushes) into
+    ``data_base + 244``, past every body displacement: the final data
+    then differs if any interrupt boundary saw other flags, even ones
+    the loop overwrites before reading them."""
+    counter = "movi ecx, %d" % (iterations or 0)
+    lines = ["start:", "movi ebx, %d" % data_base, counter, "sti", "loop:"]
     lines.extend(body)
-    lines.extend(["subi ecx, 1", "jnz loop", "cli", "hlt"])
+    if iterations is None:
+        lines.append("jmp loop")
+    else:
+        lines.extend(["subi ecx, 1", "jnz loop"])
+    lines.extend(["cli", "hlt"])
     lines.extend(
         [
             "irq_handler:",
@@ -70,6 +111,13 @@ def _program(body, iterations, data_base):
             "ld eax, [ebx+248]",
             "addi eax, 1",
             "st [ebx+248], eax",
+            "ld eax, [ebx+244]",
+            "movi ebx, 16777619",  # odd: every fold is invertible
+            "mul eax, ebx",
+            "ld ebx, [esp+12]",
+            "xor eax, ebx",
+            "movi ebx, %d" % data_base,
+            "st [ebx+244], eax",
             "pop ebx",
             "pop eax",
             "iret",
@@ -190,6 +238,31 @@ def test_stores_next_to_code_invisible_under_random_irqs(body, tick_period, budg
     on loop exit (the trace-JIT livelock pinned in ``perfbench/tests``),
     which these programs reach in a few percent of examples."""
     source = _program(body, 0x7FFFFFFF, 0x0010_4000)
+    plain = _run(source, blocks=False, tick_period=tick_period, max_cycles=budget)
+    blocked = _run(
+        source, blocks=True, tick_period=tick_period, traces=False, max_cycles=budget
+    )
+    traced = _run(source, blocks=True, tick_period=tick_period, max_cycles=budget)
+    assert plain == blocked == traced
+    assert plain["ticks"] > 0 or budget < 2 * tick_period
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    body=st.lists(
+        st.one_of(_insn, _flagged_near_store, _self_rewrite), min_size=4, max_size=24
+    ),
+    tick_period=st.integers(min_value=60, max_value=3000),
+    budget=st.integers(min_value=2_000, max_value=20_000),
+)
+def test_jmp_closed_loops_invisible_under_random_irqs(body, tick_period, budget):
+    """compute's loop shape: a body closed by ``jmp``, with no guard, so
+    the last flag writer of an iteration is read only on the way out -
+    at a store's slow path or abort, a horizon cut, or the end of the
+    admitted iterations - and the exits rebuild EFLAGS from its kept
+    operands.  Interpreter, blocks and traces agree at the end of the
+    cycle budget, including the EFLAGS every interrupt saw."""
+    source = _program(body, None, _DATA_BASE)
     plain = _run(source, blocks=False, tick_period=tick_period, max_cycles=budget)
     blocked = _run(
         source, blocks=True, tick_period=tick_period, traces=False, max_cycles=budget
