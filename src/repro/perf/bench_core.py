@@ -1,7 +1,8 @@
 """CPU-core throughput bench: baseline / fast path / blocks / traces.
 
 Runs three self-terminating workloads through identically configured
-rigs (one per mode) and reports wall-clock instructions/sec, the
+rigs (one per mode, built afresh for each of :data:`THROUGHPUT_RUNS`
+runs) and reports each mode's best wall-clock instructions/sec, the
 speedups, and the cache hit rates:
 
 * ``alu`` - a long straight-line ALU loop: the JIT's best case (one
@@ -298,13 +299,21 @@ def _workloads(instructions):
     ]
 
 
+#: Freshly built rigs each mode of each workload runs; the mode's time
+#: is its fastest run, so one host stall cannot flip a ``--check`` gate.
+THROUGHPUT_RUNS = 3
+
+
 def run_bench(instructions=150_000, blocks=True, traces=True):
     """Run every workload in every mode; returns the result dict.
 
     ``blocks=False`` drops both JIT tiers; ``traces=False`` keeps the
-    block tier but ablates the trace JIT.  Raises
-    :class:`AssertionError` if any two modes of one workload disagree
-    on any architectural outcome.
+    block tier but ablates the trace JIT.  Each mode runs
+    :data:`THROUGHPUT_RUNS` times on a freshly built rig, in interleaved
+    rounds (a burst of host load slows one run of every mode, not every
+    run of one mode), and reports its fastest run.  Raises
+    :class:`AssertionError` if any run of any mode disagrees with the
+    first on any architectural outcome.
     """
     if not blocks:
         modes = MODES[:2]
@@ -315,24 +324,30 @@ def run_bench(instructions=150_000, blocks=True, traces=True):
     workloads = {}
     for name, description, source, irq in _workloads(instructions):
         reference = None
+        best = {}  # mode -> (seconds, cpu) of its fastest run
+        for _ in range(THROUGHPUT_RUNS):
+            for mode in modes:
+                cpu, timer = _build_mode_rig(source, mode, irq=irq)
+                seconds = _run(cpu, timer)
+                snap = _snapshot(cpu, timer)
+                if reference is None:
+                    reference = (modes[0], snap)
+                elif snap != reference[1]:
+                    diverged = sorted(
+                        key for key in snap if snap[key] != reference[1][key]
+                    )
+                    raise AssertionError(
+                        "%s: modes %r and %r diverged on %s"
+                        % (name, reference[0], mode, ", ".join(diverged))
+                    )
+                if mode not in best or seconds < best[mode][0]:
+                    best[mode] = (seconds, cpu)
         entry = {"description": description, "modes": {}}
         for mode in modes:
-            cpu, timer = _build_mode_rig(source, mode, irq=irq)
-            seconds = _run(cpu, timer)
-            snap = _snapshot(cpu, timer)
-            if reference is None:
-                reference = (modes[0], snap)
-            elif snap != reference[1]:
-                diverged = sorted(
-                    key for key in snap if snap[key] != reference[1][key]
-                )
-                raise AssertionError(
-                    "%s: modes %r and %r diverged on %s"
-                    % (name, reference[0], mode, ", ".join(diverged))
-                )
+            seconds, cpu = best[mode]
             result = {
                 "seconds": round(seconds, 6),
-                "insns_per_sec": round(snap["retired"] / seconds, 1),
+                "insns_per_sec": round(reference[1]["retired"] / seconds, 1),
             }
             if mode != "baseline":
                 result["cache_stats"] = cpu.cache_stats()

@@ -23,8 +23,9 @@ as a linear trace whose items are all straight-line instructions.
   computation and defers EFLAGS a body reads only on its way out to
   the exits that write them back, performs translated
   loads/stores as **direct slab indexing** (:class:`repro.hw.memory`'s
-  ``memoryview`` word views) inside hoisted EA-MPU allow windows, and
-  charges cycles in one batch per trace segment;
+  ``memoryview`` word views) inside hoisted EA-MPU allow windows -
+  checked once per dispatch for a loop-invariant address - and charges
+  cycles in one batch per trace segment;
 * counted loops proven by :func:`repro.analysis.constprop.counted_loop_counter`
   get a second, *specialized* loop body with the guard and every dead
   flag update removed - the unrolled fast path for the first
@@ -729,60 +730,77 @@ _WIDTHS = (4, 2, 1)
 
 
 def _steady_plan(items):
-    """Loop-invariant EA descriptors for a counted body's memory sites.
+    """Loop-invariant EA descriptors for a loop body's memory sites.
 
-    Returns one ``(base_reg, offset)`` pair per memory site, in site
-    order, such that the site's effective address every iteration is
-    ``(r[base_reg]_at_loop_entry + offset) & 2^32-1`` - or ``None``
-    when any site's address cannot be proven loop-invariant.  This is
-    what lets the counted-loop fast body check each site's window,
-    alignment, and snoop preconditions *once* and run the whole loop on
-    raw slab indexing:
+    Returns one entry per memory site, in site order: a ``(base_reg,
+    offset)`` pair when the site's effective address every iteration
+    is ``(r[base_reg]_at_loop_entry + offset) & 2^32-1``, ``None`` when
+    it may vary.  A site is invariant when
 
-    * a ``[base+disp]`` site is invariant when nothing in the body
-      writes ``base``;
-    * ``push``/``pop`` sites (and ``[esp+disp]`` sites) are invariant
-      when ESP is only moved by the body's own pushes and pops and the
-      net movement over one iteration is zero - each site's offset is
-      the static ESP displacement at that point.
+    * it is a ``[base+disp]`` site and nothing in the body writes
+      ``base``; or
+    * it is a ``push``/``pop`` (or ``[esp+disp]``) site, and ESP is
+      moved only by the body's own pushes and pops, with zero net
+      movement over one iteration - each site's offset is the static
+      ESP displacement at that point.
 
     Same deliberately conservative style as ``counted_loop_counter``:
     a proof, not a heuristic (a ``movi`` rebasing a pointer mid-body,
-    ``pop esp``, or unbalanced stack traffic all return ``None``).
+    ``pop esp``, or unbalanced stack traffic make the affected sites
+    ``None``).
+
+    :func:`generate_trace` checks an invariant site's window, alignment
+    and (stores) snoop page once per dispatch, in the body's prologue,
+    and inside the loop the access is a plain ``m<k>[i<k>]`` slab read
+    or write.  The counted-loop fast body needs every site invariant and
+    returns ``False`` when any check fails; the general looping body
+    binds the sentinel index ``-1`` to a failing site, whose accesses
+    then take the checked path and re-derive the index after its slow
+    path installs a window.  One check per dispatch covers every
+    iteration because, within one dispatch:
+
+    * the EA is fixed, by the rule above;
+    * the site's window ``tr.windows[k]`` changes only in that site's
+      own slow path, which re-derives the index;
+    * ``memory.snooped_pages`` only grows, and only when a body or an
+      instruction is cached, which happens between dispatches: a page
+      the prologue found unsnooped stays unsnooped, so the store can
+      invalidate no cached code and needs no broadcast;
+    * every MMIO slow path leaves the body, so whatever a device access
+      changes is first seen by the next dispatch, whose prologue checks
+      again.
     """
     written = set()
+    moved = 0
     for item in items:
         insn = item[2]
-        if insn.opcode in _REG_WRITES:
+        opcode = insn.opcode
+        if opcode in _REG_WRITES:
             written.add(insn.reg)
-    esp_clean = _ESP not in written
+        if opcode in (Op.PUSH, Op.PUSHI):
+            moved -= 4
+        elif opcode is Op.POP:
+            moved += 4
+    esp_steady = _ESP not in written and not moved
     plan = []
     off = 0
     for item in items:
         insn = item[2]
         opcode = insn.opcode
         if opcode in (Op.PUSH, Op.PUSHI):
-            if not esp_clean:
-                return None
             off -= 4
-            plan.append((_ESP, off))
+            plan.append((_ESP, off) if esp_steady else None)
         elif opcode is Op.POP:
-            if not esp_clean:
-                return None
-            plan.append((_ESP, off))
+            plan.append((_ESP, off) if esp_steady else None)
             off += 4
         elif opcode in _LOAD_SITES or opcode in _STORE_SITES:
             base = insn.reg2
             if base == _ESP:
-                if not esp_clean:
-                    return None
-                plan.append((_ESP, off + insn.imm))
+                plan.append((_ESP, off + insn.imm) if esp_steady else None)
             elif base in written:
-                return None
+                plan.append(None)
             else:
                 plan.append((base, insn.imm))
-    if off:
-        return None
     return plan
 
 
@@ -939,6 +957,19 @@ def generate_trace(trace, fast=False, segment=False):
     valid for up to ``counter - 1`` iterations (the engine enforces the
     bound), with the counter's final flags reconstructed closed-form.
 
+    Both looping bodies check a memory site whose address is
+    loop-invariant (:func:`_steady_plan`, which also gives the
+    soundness argument) once per dispatch, in the prologue, and access
+    it inside the loop as a plain ``m<k>[i<k>]`` slab read or write -
+    the general body behind one ``i<k> >= 0`` test, falling back to the
+    checked path when the check failed.  The general body hoists every
+    site's window bounds once per dispatch: its varying sites test them
+    every iteration, its invariant sites in the prologue check and the
+    checked path.
+    Every exit of the general looping body charges cycles and retires
+    closed-form from the iterations done (``n0 - n``), so an iteration
+    that takes no slow path updates no tally.
+
     With ``segment=True`` the *segment* body is generated: the straight
     path rendered linearly (one iteration, for looping traces) as one
     chunk per :func:`_checkpoint_plan` cut.  Called as
@@ -976,14 +1007,22 @@ def generate_trace(trace, fast=False, segment=False):
     load_sites = sum(load_n.values())
     store_sites = sum(store_n.values())
     has_mem = bool(sites)
-    #: Fast bodies with memory run in *steady state*: every EA is
-    #: loop-invariant (:func:`_steady_plan`), so the prologue checks
-    #: each site's window/alignment/snoop preconditions once and the
-    #: loop itself is raw slab indexing.  Any precondition failure
-    #: returns ``False`` before touching state - the dispatcher falls
-    #: back to the general body, whose slow paths install the windows.
-    plan = _steady_plan(items) if fast and has_mem else None
-    assert plan is not None or not (fast and has_mem)
+    #: A looping body's loop-invariant memory sites (:func:`_steady_plan`)
+    #: are checked once per dispatch, in the prologue, and run as raw
+    #: slab indexing inside the loop.  The fast body needs every site
+    #: invariant: any failed check returns ``False`` before touching
+    #: state, and the dispatcher falls back to the general body, whose
+    #: slow paths install the windows.  The general body gives a site
+    #: that fails the index ``-1``, and the site's slow path re-derives
+    #: it.
+    plan = _steady_plan(items) if looping else [None] * sites
+    assert not fast or None not in plan
+    #: The general looping body re-runs its memory sites every
+    #: iteration, so each site's window bounds/view/base are hoisted into
+    #: per-site locals once per dispatch (refreshed whenever a slow path
+    #: installs a window): a varying site tests them every iteration, an
+    #: invariant one in its prologue check and its checked path.
+    hoist = looping and not fast
     #: When the counter register is touched by nothing but its own
     #: ``subi reg, 1`` (the common dedicated-counter loop), even the
     #: per-iteration decrement is dead inside the fast body: no other
@@ -1005,11 +1044,48 @@ def generate_trace(trace, fast=False, segment=False):
             if op in _TWO_REG and it[2].reg2 == counter:
                 counter_lone = False
                 break
-    #: Looping bodies re-run every memory site each iteration, so the
-    #: window bounds/view/base are hoisted into per-site locals once
-    #: per dispatch (refreshed whenever a slow path installs a window).
-    hoist = looping and has_mem and not fast
     out = _Source()
+
+    def win_cond(site, width, ea):
+        """Window-hit test (bounds + alignment) for memory site ``site``."""
+        mask = _ALIGN_SHIFT[width][0]
+        if hoist:
+            cond = "w%dl <= %s <= w%dh" % (site, ea, site)
+        else:
+            cond = "w is not None and w[0] <= %s <= w[1]" % ea
+        if mask:
+            cond += " and not %s & %d" % (ea, mask)
+        return cond
+
+    def win_slot(site, width, ea):
+        """``(view, index)`` of the slab slot a window hit accesses."""
+        shift = _ALIGN_SHIFT[width][1]
+        view = "w%dv" % site if hoist else "w[2]"
+        base_l = "w%db" % site if hoist else "w[3]"
+        if shift:
+            return view, "(%s >> %d) - %s" % (ea, shift, base_l)
+        return view, "%s - %s" % (ea, base_l)
+
+    def win_index(site, width, ea):
+        """Direct slab-view index expression for a window hit."""
+        return "%s[%s]" % win_slot(site, width, ea)
+
+    def site_index(ind, site, ea):
+        """Bind invariant site ``site``'s slab view ``m<k>`` and index
+        ``i<k>`` when its window covers ``ea``, aligned, and - for a
+        store - off every snooped page; opens the ``if``, whose
+        ``else:`` the caller may add."""
+        width, is_store = site_meta[site]
+        cond = win_cond(site, width, ea)
+        if is_store:
+            cond += " and %s >> 8 not in S" % ea
+        if not hoist:
+            out.emit(ind, "w = W[%d]" % site)
+        out.emit(ind, "if %s:" % cond)
+        view, index = win_slot(site, width, ea)
+        out.emit(ind + 1, "m%d = %s" % (site, view))
+        out.emit(ind + 1, "i%d = %s" % (site, index))
+
     if segment:
         out.emit(0, "def __trace_segment__(cpu, tr, first, last):")
     else:
@@ -1042,12 +1118,15 @@ def generate_trace(trace, fast=False, segment=False):
         # are emitted; they are inserted here afterwards.
         entry_at = len(out.lines)
     elif not fast:
+        # Looping bodies count cycles and retires closed-form from the
+        # iterations done (``n0 - n``); ``p``/``ret`` only take back
+        # what a slow path has charged already.
         out.emit(1, "p = 0")
         out.emit(1, "ret = 0")
-        if looping and has_mem:
+        if looping:
             out.emit(1, "n0 = n")
-    if hoist:
-        for site in range(sites):
+    for site, desc in enumerate(plan):
+        if hoist:
             out.emit(1, "w = W[%d]" % site)
             out.emit(1, "if w is None:")
             out.emit(2, "w = NW")
@@ -1055,33 +1134,19 @@ def generate_trace(trace, fast=False, segment=False):
                 1,
                 "w%dl, w%dh, w%dv, w%db = w[:4]" % (site, site, site, site),
             )
-    if plan is not None:
-        # steady preconditions: one window/alignment/snoop check per
-        # site covers all n iterations, because the EAs are proven
-        # loop-invariant.  Pure reads only before any return False.
-        for site, (breg, off) in enumerate(plan):
-            width, is_store = site_meta[site]
+        if desc is not None:
+            # One check covers all n iterations: the EA is invariant.
+            # Pure reads only before a return False.
+            breg, off = desc
             if not off:
                 ea = "r%d" % breg
-            elif off < 0:
-                ea = "(r%d - %d) & 4294967295" % (breg, -off)
             else:
-                ea = "(r%d + %d) & 4294967295" % (breg, off)
-            out.emit(1, "e = %s" % ea)
-            out.emit(1, "w = W[%d]" % site)
-            mask, shift = _ALIGN_SHIFT[width]
-            cond = "w is None or not w[0] <= e <= w[1]"
-            if mask:
-                cond += " or e & %d" % mask
-            if is_store:
-                cond += " or e >> 8 in S"
-            out.emit(1, "if %s:" % cond)
-            out.emit(2, "return False")
-            out.emit(1, "m%d = w[2]" % site)
-            if shift:
-                out.emit(1, "i%d = (e >> %d) - w[3]" % (site, shift))
-            else:
-                out.emit(1, "i%d = e - w[3]" % site)
+                sign = "-" if off < 0 else "+"
+                out.emit(1, "e = (r%d %s %d) & 4294967295" % (breg, sign, abs(off)))
+                ea = "e"
+            site_index(1, site, ea)
+            out.emit(1, "else:")
+            out.emit(2, "return False" if fast else "i%d = -1" % site)
     if fast:
         out.emit(1, "for _ in range(n):")
         em = _FoldEmitter(out, 2)
@@ -1103,32 +1168,39 @@ def generate_trace(trace, fast=False, segment=False):
             else:
                 out.emit(ind, "r[%d] = %s" % (j, expr if clean else "%s & 4294967295" % expr))
 
+    def tally(per_iter, extra, loop_end=False):
+        """Closed-form count at an exit: ``extra`` in the current
+        iteration plus, in a looping body, ``per_iter`` for each
+        completed one (all ``n0`` at the natural ``loop_end``)."""
+        if not looping:
+            return "%d" % extra
+        if loop_end:
+            return "n0 * %d" % per_iter
+        if extra:
+            return "(n0 - n - 1) * %d + %d" % (per_iter, extra)
+        return "(n0 - n - 1) * %d" % per_iter
+
+    def plus(var, per_iter, extra, loop_end=False):
+        """``var`` plus the :func:`tally` of cycles or retires so far."""
+        count = tally(per_iter, extra, loop_end)
+        return var if count == "0" else "%s + %s" % (var, count)
+
+    def negated(count):
+        return "-" + count if count.isdigit() else "-(%s)" % count
+
     def emit_slab_hits(ind, kl, ks, loop_end=False):
         """Per-width slab hit credit at an exit point.
 
         ``kl``/``ks`` count the load/store sites *passed* at this point
         in the current iteration (miss paths pre-decrement the counter,
-        so passed == hit).  Looping bodies add the completed-iteration
-        term; ``loop_end`` is the natural while-exit where all ``n0``
-        iterations completed.
+        so passed == hit).
         """
         for name_, totals, counts in (("SL", load_n, kl), ("SS", store_n, ks)):
             for width in _WIDTHS:
-                per_iter = totals[width]
-                if not per_iter and not counts.get(width):
-                    continue
-                if looping:
-                    if loop_end:
-                        expr = "n0 * %d" % per_iter
-                    elif counts.get(width):
-                        expr = "(n0 - n - 1) * %d + %d" % (per_iter, counts[width])
-                    else:
-                        expr = "(n0 - n - 1) * %d" % per_iter
-                elif counts.get(width):
-                    expr = "%d" % counts[width]
-                else:
-                    continue
-                out.emit(ind, "%s%d.hits += %s" % (name_, width, expr))
+                passed = counts.get(width, 0)
+                if passed or (looping and totals[width]):
+                    count = tally(totals[width], passed, loop_end)
+                    out.emit(ind, "%s%d.hits += %s" % (name_, width, count))
 
     #: The EFLAGS an exit writes back: ``fl`` itself, or the helper call
     #: that materializes them from the last deferred writer's operands.
@@ -1137,14 +1209,8 @@ def generate_trace(trace, fast=False, segment=False):
     def emit_exit(ind, eip, ret_k, cyc, kl, ks, guard=False):
         emit_writebacks(ind)
         out.emit(ind, "regs.eflags = %s" % flags_now)
-        if ret_k:
-            out.emit(ind, "cpu.retired += ret + %d" % ret_k)
-        else:
-            out.emit(ind, "cpu.retired += ret")
-        if cyc:
-            out.emit(ind, "q = p + %d" % cyc)
-        else:
-            out.emit(ind, "q = p")
+        out.emit(ind, "cpu.retired += %s" % plus("ret", trace.iter_retire, ret_k))
+        out.emit(ind, "q = %s" % plus("p", trace.iter_cost, cyc))
         out.emit(ind, "if q:")
         out.emit(ind + 1, "clock.charge(q)")
         emit_slab_hits(ind, kl, ks)
@@ -1154,40 +1220,19 @@ def generate_trace(trace, fast=False, segment=False):
         out.emit(ind, "return")
 
     def slow_entry(ind, address, base_c, ret_k, cyc):
-        """Bit-identical single-step state before a checked bus access."""
-        total = cyc + base_c
-        out.emit(ind, "q = p + %d" % total)
+        """Bit-identical single-step state before a checked bus access;
+        ``p``/``ret`` then take back everything charged so far (the
+        access itself retires after the call)."""
+        cycles = tally(trace.iter_cost, cyc + base_c)
+        out.emit(ind, "q = p + %s" % cycles)
         out.emit(ind, "if q:")
         out.emit(ind + 1, "clock.charge(q)")
-        out.emit(ind, "p = %d" % -total)
-        if ret_k:
-            out.emit(ind, "cpu.retired += ret + %d" % ret_k)
-        else:
-            out.emit(ind, "cpu.retired += ret")
-        out.emit(ind, "ret = %d" % -(ret_k + 1))
+        out.emit(ind, "p = %s" % negated(cycles))
+        out.emit(ind, "cpu.retired += %s" % plus("ret", trace.iter_retire, ret_k))
+        out.emit(ind, "ret = %s" % negated(tally(trace.iter_retire, ret_k + 1)))
         out.emit(ind, "regs.eip = %d" % address)
         out.emit(ind, "regs.eflags = %s" % flags_now)
         emit_writebacks(ind)
-
-    def win_cond(site, width, ea):
-        """Window-hit test (bounds + alignment) for memory site ``site``."""
-        mask = _ALIGN_SHIFT[width][0]
-        if hoist:
-            cond = "w%dl <= %s <= w%dh" % (site, ea, site)
-        else:
-            cond = "w is not None and w[0] <= %s <= w[1]" % ea
-        if mask:
-            cond += " and not %s & %d" % (ea, mask)
-        return cond
-
-    def win_index(site, width, ea):
-        """Direct slab-view index expression for a window hit."""
-        shift = _ALIGN_SHIFT[width][1]
-        view = "w%dv" % site if hoist else "w[2]"
-        base_l = "w%db" % site if hoist else "w[3]"
-        if shift:
-            return "%s[(%s >> %d) - %s]" % (view, ea, shift, base_l)
-        return "%s[%s - %s]" % (view, ea, base_l)
 
     def victim_cond(width, ea):
         """Victim-window hit test (the ``w2`` local holds ``W2[site]``).
@@ -1232,17 +1277,19 @@ def generate_trace(trace, fast=False, segment=False):
         out.emit(ind + 1, "j = %s - w2[5]" % ea)
         out.emit(ind + 1, 'r%d = int.from_bytes(w2[4][j:j + %d], "little")' % (x, size))
 
-    def win_refresh(ind, site):
-        """Re-read a site's hoisted window locals after a slow path
-        (which may have installed or re-installed the window)."""
-        if not hoist:
-            return
-        out.emit(ind, "w = W[%d]" % site)
-        out.emit(ind, "if w is not None:")
-        out.emit(
-            ind + 1,
-            "w%dl, w%dh, w%dv, w%db = w[:4]" % (site, site, site, site),
-        )
+    def win_refresh(ind, site, ea):
+        """After a slow path (which may have installed or re-installed
+        the window), re-read the site's hoisted window locals, and
+        re-derive an invariant site's slab index."""
+        if hoist:
+            out.emit(ind, "w = W[%d]" % site)
+            out.emit(ind, "if w is not None:")
+            out.emit(
+                ind + 1,
+                "w%dl, w%dh, w%dv, w%db = w[:4]" % (site, site, site, site),
+            )
+        if plan[site] is not None:
+            site_index(ind, site, ea)
 
     def emit_fl(carry=None, overflow=None, carry_bits=1):
         em.emit("fl = fl & %d" % _FLAG_KEEP)
@@ -1281,6 +1328,26 @@ def generate_trace(trace, fast=False, segment=False):
         em.emit("%s = %s" % (name, text))
         return name
 
+    def bind(name, text):
+        """``text`` as an operand: as is when it is a bare local or a
+        literal, else bound to the local ``name`` first."""
+        if _simple(text):
+            return text
+        em.emit("%s = %s" % (name, text))
+        return name
+
+    def open_steady(site, access):
+        """Emit an invariant site's ``access`` - a plain ``m<k>[i<k>]``
+        slab read or write - behind its one index test, and open the
+        ``else:`` arm one level deeper for the checked path (the caller
+        closes it with ``em.indent -= 1``).  The checked path binds the
+        EA only there: it is loop-invariant, so its text reads only
+        locals the main line does not reassign in between."""
+        em.emit("if i%d >= 0:" % site)
+        out.emit(em.indent + 1, access)
+        em.emit("else:")
+        em.indent += 1
+
     def emit_store_paths(site, ea, value, size, address, nxt, base_c, ret_k, cyc):
         """Window-hit fast path (single snoop-page probe + direct slab
         write) and checked slow path of a store; both end with the
@@ -1312,7 +1379,7 @@ def generate_trace(trace, fast=False, segment=False):
         out.emit(ind + 1, "regs.eip = %d" % nxt)
         out.emit(ind + 1, "return")
         out.emit(ind, "SS%d.hits -= 1" % size)
-        win_refresh(ind, site)
+        win_refresh(ind, site, ea)
 
     K = 0  # instructions retired before the current item (one iteration)
     C = 0  # cycles accrued before the current item (one iteration)
@@ -1549,13 +1616,16 @@ def generate_trace(trace, fast=False, segment=False):
             K += 1
             C += base_c
             continue
+        steady = plan[k] is not None
         if opcode in (Op.LD, Op.LDH, Op.LDB):
             size = _SITE_WIDTH[opcode]
             ea = addr_text(insn)
-            if not _simple(ea):
-                em.emit("ea = %s" % ea)
-                ea = "ea"
+            if not steady:
+                ea = bind("ea", ea)
             em.flush_dependents(x)
+            if steady:
+                open_steady(k, "r%d = m%d[i%d]" % (x, k, k))
+                ea = bind("ea", ea)
             if not hoist:
                 em.emit("w = W[%d]" % k)
             em.emit("if %s:" % win_cond(k, size, ea))
@@ -1580,16 +1650,17 @@ def generate_trace(trace, fast=False, segment=False):
             out.emit(ind + 1, "regs.eip = %d" % nxt)
             out.emit(ind + 1, "return")
             out.emit(ind, "SL%d.hits -= 1" % size)
-            win_refresh(ind, k)
+            win_refresh(ind, k, ea)
+            if steady:
+                em.indent -= 1
             em.drop(x)
             KL[size] += 1
             k += 1
         elif opcode in (Op.ST, Op.STH, Op.STB):
             size = _SITE_WIDTH[opcode]
             ea = addr_text(insn)
-            if not _simple(ea):
-                em.emit("ea = %s" % ea)
-                ea = "ea"
+            if not steady:
+                ea = bind("ea", ea)
             value = em.value_expr(x)[0]
             if size != 4:
                 mask = _SIZE_MASKS[size]
@@ -1597,10 +1668,12 @@ def generate_trace(trace, fast=False, segment=False):
                     str(int(value) & mask) if value.isdigit()
                     else "(%s & %d)" % (value, mask)
                 )
-            if not _simple(value):
-                em.emit("v = %s" % value)
-                value = "v"
-            emit_store_paths(k, ea, value, size, address, nxt, base_c, K, C)
+            if steady:
+                open_steady(k, "m%d[i%d] = %s" % (k, k, value))
+                ea = bind("ea", ea)
+            emit_store_paths(k, ea, bind("v", value), size, address, nxt, base_c, K, C)
+            if steady:
+                em.indent -= 1
             KS[size] += 1
             k += 1
         elif opcode in (Op.PUSH, Op.PUSHI):
@@ -1616,15 +1689,23 @@ def generate_trace(trace, fast=False, segment=False):
                 value = str(insn.imm & _M)
             em.apply_add(_ESP, -1, 4)
             em.materialize(_ESP)
+            if steady:
+                open_steady(k, "m%d[i%d] = %s" % (k, k, value))
             emit_store_paths(k, "r4", value, 4, address, nxt, base_c, K, C)
+            if steady:
+                em.indent -= 1
             KS[4] += 1
             k += 1
         elif opcode is Op.POP:
             # pop loads first (a faulting load leaves ESP and the
             # destination untouched), then bumps ESP, then writes the
             # destination - so ``pop esp`` ends with the loaded value.
+            # Chains reading ESP's local are spilled before it moves.
             em.materialize(_ESP)
+            em.flush_dependents(_ESP)
             em.flush_dependents(x)
+            if steady:
+                open_steady(k, "v = m%d[i%d]" % (k, k))
             if not hoist:
                 em.emit("w = W[%d]" % k)
             em.emit("if %s:" % win_cond(k, 4, "r4"))
@@ -1650,7 +1731,9 @@ def generate_trace(trace, fast=False, segment=False):
             out.emit(ind + 1, "regs.eip = %d" % nxt)
             out.emit(ind + 1, "return")
             out.emit(ind, "SL4.hits -= 1")
-            win_refresh(ind, k)
+            win_refresh(ind, k, "r4")
+            if steady:
+                em.indent -= 1
             em.emit("r4 = (r4 + 4) & 4294967295")
             em.emit("r%d = v" % x)
             em.drop(x)
@@ -1698,18 +1781,17 @@ def generate_trace(trace, fast=False, segment=False):
         out.emit(1, "regs.eip = %d" % trace.start)
     elif looping:
         # fixpoint: restore the loop-top assumption (all registers in
-        # their locals), then batch the iteration's cycles/retires.
+        # their locals)
         em.materialize_all()
-        out.emit(2, "p += %d" % trace.iter_cost)
-        out.emit(2, "ret += %d" % trace.iter_retire)
-        # natural exit at the head after n iterations (n >= 1: every
-        # dispatch admits a whole iteration, so a deferred last writer
-        # has bound its operands)
+        # natural exit at the head after n0 iterations, charged
+        # closed-form (n0 >= 1: every dispatch admits a whole
+        # iteration, so a deferred last writer has bound its operands)
         emit_writebacks(1)
         out.emit(1, "regs.eflags = %s" % flags_now)
-        out.emit(1, "cpu.retired += ret")
-        out.emit(1, "if p:")
-        out.emit(2, "clock.charge(p)")
+        out.emit(1, "cpu.retired += %s" % plus("ret", trace.iter_retire, 0, True))
+        out.emit(1, "q = %s" % plus("p", trace.iter_cost, 0, True))
+        out.emit(1, "if q:")
+        out.emit(2, "clock.charge(q)")
         emit_slab_hits(1, {}, {}, loop_end=True)
         out.emit(1, "regs.eip = %d" % trace.start)
     else:
@@ -1785,16 +1867,14 @@ def _load(source, filename, name, counters, codes):
 def _translate(body, counters, codes, kind):
     """Compile ``body`` - a block or a stitched trace - in place: fills
     ``run`` (and ``run_fast`` for provably counted loop
-    bodies that are memory-free or whose every memory EA is
-    loop-invariant, see :func:`_steady_plan`).  The segment body
+    bodies whose every memory EA, if any, is loop-invariant, see
+    :func:`_steady_plan`).  The segment body
     compiles lazily on first prefix or resume admission
     (:meth:`TraceJIT._compile_prefix`) - most bodies never need one.
     ``kind`` names the body in tracebacks."""
     source = generate_trace(body)
     body.run = _load(source, "<%s@0x%X>" % (kind, body.start), "__trace__", counters, codes)
-    if body.counter_reg is not None and (
-        not body.windows or _steady_plan(body.items[:-1]) is not None
-    ):
+    if body.counter_reg is not None and None not in _steady_plan(body.items[:-1]):
         fast_source = generate_trace(body, fast=True)
         filename = "<%s-fast@0x%X>" % (kind, body.start)
         body.run_fast = _load(fast_source, filename, "__trace_fast__", counters, codes)

@@ -12,7 +12,8 @@ Usage::
 
 The throughput mode runs the CPU bench (:mod:`repro.perf.bench_core`):
 three workloads (alu / mem / irq), each in baseline, fast-path,
-block-translation, and trace-JIT mode, appending to the run history in
+block-translation, and trace-JIT mode, each mode timed as the best of
+three freshly built rigs, appending to the run history in
 ``BENCH_cpu_core.json``.  ``--no-blocks`` skips both JIT tiers and
 ``--no-traces`` skips just the trace JIT (the ablation modes CI runs);
 ``--check`` turns the run into a CI gate that fails when a JIT tier

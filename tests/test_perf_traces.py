@@ -142,6 +142,48 @@ mix:
     jmp mix
 """ % DATA_BASE
 
+#: perfbench compute's memory walk: a read-modify-write of a ring slot
+#: whose address moves every pass, then two stores at fixed offsets from
+#: ebp, which the loop never writes.
+_MEMWALK_SOURCE = """\
+start:
+    movi eax, 7
+    movi edi, 0
+    movi ecx, 0
+    movi ebp, %d
+walk:
+    mov esi, ecx
+    andi esi, 252
+    add esi, ebp
+    ld ebx, [esi]
+    add ebx, eax
+    xori ebx, 0x5BD1E995
+    st [esi], ebx
+    add edi, ebx
+    addi eax, 0x9E3779B9
+    addi ecx, 4
+    st [ebp+256], edi
+    st [ebp+260], ecx
+    jmp walk
+""" % DATA_BASE
+
+#: ``mov eax, esp`` leaves eax a copy of ESP's local, which the ``pop``
+#: then moves: the copy must be spilled before the pop reassigns it.
+_POP_COPY_SOURCE = """\
+start:
+    movi ecx, 50
+    movi ebx, %d
+loop:
+    push ecx
+    mov eax, esp
+    pop edx
+    st [ebx+0], eax
+    add esi, eax
+    subi ecx, 1
+    jnz loop
+    hlt
+""" % DATA_BASE
+
 
 def _pair(source, irq=False):
     """(block-tier-only snapshot, traces snapshot, traced cpu)."""
@@ -187,6 +229,15 @@ class TestDifferential:
         interpreted, _ = _build_mode_rig(_PUSH_COPY_SOURCE, "baseline")
         _run(interpreted, None)
         plain, traced, cpu = _pair(_PUSH_COPY_SOURCE)
+        assert _snapshot(interpreted, None) == plain == traced
+        assert _trace_stats(cpu)["compiles"] > 0
+
+    def test_esp_copy_survives_the_pop(self):
+        # Regression: blocks and traces alike stored and summed ESP's
+        # value after the pop instead of the copy taken before it.
+        interpreted, _ = _build_mode_rig(_POP_COPY_SOURCE, "baseline")
+        _run(interpreted, None)
+        plain, traced, cpu = _pair(_POP_COPY_SOURCE)
         assert _snapshot(interpreted, None) == plain == traced
         assert _trace_stats(cpu)["compiles"] > 0
 
@@ -267,17 +318,45 @@ loop:
         assert stats["slab_store_u16"]["misses"] >= 250
 
 
+def _loop_of(source, head):
+    """The ``while n:`` loop of the looping trace headed at ``head``."""
+    cpu, _ = _build_mode_rig(source, "traces")
+    start = link(assemble(source), entry_symbol=head, stack_size=64).entry
+    trace = build_trace(cpu.memory, CODE_BASE + start, EdgeProfile())
+    assert trace.looping
+    tree = ast.parse(generate_trace(trace))
+    return next(node for node in ast.walk(tree) if isinstance(node, ast.While))
+
+
+def _hot_path(statements):
+    """The nodes an iteration runs when every ``if`` test holds: each
+    statement outside an ``if``, and each ``if``'s test and body, never
+    its ``else``."""
+    for statement in statements:
+        if isinstance(statement, ast.If):
+            yield from ast.walk(statement.test)
+            yield from _hot_path(statement.body)
+        else:
+            yield from ast.walk(statement)
+
+
+def _slab_writes(nodes):
+    """``(view, index, value)`` of every plain ``m<k>[i<k>] = value``."""
+    return [
+        (node.targets[0].value.id, node.targets[0].slice.id, ast.unparse(node.value))
+        for node in nodes
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Subscript)
+        and isinstance(node.targets[0].slice, ast.Name)
+    ]
+
+
 class TestGeneratedShape:
     def test_loop_body_computes_each_value_once(self):
         """The product feeds ``mov``, the xor chain and the store; it is
         rendered once per iteration, and the main line computes no flag
         (the exits rebuild EFLAGS from the kept operands)."""
-        cpu, _ = _build_mode_rig(_ALU_MIX_SOURCE, "traces")
-        mix = link(assemble(_ALU_MIX_SOURCE), entry_symbol="mix", stack_size=64).entry
-        trace = build_trace(cpu.memory, CODE_BASE + mix, EdgeProfile())
-        assert trace.looping
-        tree = ast.parse(generate_trace(trace))
-        loop = next(node for node in ast.walk(tree) if isinstance(node, ast.While))
+        loop = _loop_of(_ALU_MIX_SOURCE, "mix")
         main_line = [
             node
             for statement in loop.body
@@ -291,6 +370,31 @@ class TestGeneratedShape:
         ]
         assert len(products) == 1
         assert "fl" not in {node.id for node in main_line if isinstance(node, ast.Name)}
+
+    def test_invariant_sites_checked_once_per_dispatch(self):
+        """The ALU loop's two stores have loop-invariant addresses: the
+        prologue checks their window, alignment and snoop page, so an
+        iteration that hits runs no bounds test, no ``>> 8 in S`` probe
+        and no per-iteration cycle or retire tally, only two plain slab
+        writes."""
+        hot = list(_hot_path(_loop_of(_ALU_MIX_SOURCE, "mix").body))
+        compares = [node for node in hot if isinstance(node, ast.Compare)]
+        assert not [node for node in compares if len(node.ops) == 2]  # lo <= ea <= hi
+        assert not [node for node in compares if isinstance(node.ops[0], (ast.In, ast.NotIn))]
+        assert not [
+            node
+            for node in hot
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Name)
+            and node.target.id in ("p", "ret")
+        ]
+        assert _slab_writes(hot) == [("m0", "i0", "r7"), ("m1", "i1", "r1")]
+
+    def test_memwalk_fixed_stores_are_plain_slab_writes(self):
+        """The ring slot's load and store move every pass and keep their
+        window test; the ``[ebp+256]``/``[ebp+260]`` stores do not."""
+        hot = list(_hot_path(_loop_of(_MEMWALK_SOURCE, "walk").body))
+        assert _slab_writes(hot) == [("m2", "i2", "r7"), ("m3", "i3", "r1")]
 
 
 class TestSelfModification:

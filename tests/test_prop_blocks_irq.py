@@ -84,10 +84,10 @@ _self_rewrite = _alu.map(
 )
 
 
-def _program(body, iterations, data_base):
+def _program(body, iterations, data_base, setup=()):
     """``body`` as a loop counted down in ecx, or (``iterations`` None)
     closed with ``jmp`` like compute's tasks: no guard, it runs until
-    the cycle budget.
+    the cycle budget.  The ``setup`` lines run once before the loop.
 
     The IRQ handler counts ticks in ``data_base + 248`` and folds the
     interrupted EFLAGS word (``[esp+12]`` under its two pushes) into
@@ -95,7 +95,7 @@ def _program(body, iterations, data_base):
     then differs if any interrupt boundary saw other flags, even ones
     the loop overwrites before reading them."""
     counter = "movi ecx, %d" % (iterations or 0)
-    lines = ["start:", "movi ebx, %d" % data_base, counter, "sti", "loop:"]
+    lines = ["start:", "movi ebx, %d" % data_base, counter, *setup, "sti", "loop:"]
     lines.extend(body)
     if iterations is None:
         lines.append("jmp loop")
@@ -109,6 +109,7 @@ def _program(body, iterations, data_base):
             "push ebx",
             "movi ebx, %d" % data_base,
             "ld eax, [ebx+248]",
+            "tick:",  # the increment, a code word data stores may patch
             "addi eax, 1",
             "st [ebx+248], eax",
             "ld eax, [ebx+244]",
