@@ -7,10 +7,14 @@ holds the JIT's one code generator (:func:`generate_trace`) and its
 admission logic (:class:`TraceJIT`): a block is compiled and admitted
 as a linear trace whose items are all straight-line instructions.
 
-* the :class:`~repro.perf.translate.BlockEngine` records **hot edges** -
-  (branch address, next dispatch address) pairs observed after block
-  exits;
-* when an edge gets hot, the :class:`TraceBuilder` logic stitches a
+* the :class:`TraceJIT` counts **edges** in its :class:`EdgeProfile`:
+  a compiled body's exit address paired with the next dispatch at
+  another address, which is where the instruction single-stepped at
+  the exit went (a branch target, or the next instruction after a
+  horizon cut), and a task's ``int`` paired with the point its syscall
+  returns to.  A kernel context restore closes no edge (see
+  :class:`~repro.perf.translate.BlockEngine`);
+* when an edge gets hot, :func:`build_trace` stitches a
   *trace* starting at the edge target: straight-line segments (reusing
   :func:`repro.perf.blocks.discover`) joined across conditional
   branches in their observed-hot direction, each protected by a
@@ -144,13 +148,14 @@ _COND_EXPR = {
 
 
 class EdgeProfile:
-    """Block-to-block edge counts: the trace-head heuristic.
+    """Edge counts: the trace-head heuristic.
 
-    ``edges[branch_address][target] = count``.  The same table feeds
-    the trace builder's direction choice at each stitched conditional
-    (hot direction inlined, cold direction guarded out) - and is
-    exactly the path evidence a control-flow attestation pass would
-    consume.
+    ``edges[source][target] = count``: ``source`` is a compiled body's
+    exit address or a syscall's ``int``, and ``target`` the next
+    dispatch address past it (:class:`TraceJIT`).  An edge that reaches
+    :data:`TRACE_HOT_EDGE` heads a trace at its target.  The same table
+    feeds the trace builder's direction choice at each stitched
+    conditional (hot direction inlined, cold direction guarded out).
     """
 
     def __init__(self):
@@ -1911,8 +1916,9 @@ class TraceJIT:
         #: Admission and slab counters of every body, plus the trace
         #: tier's own (compiles, guard exits, flushes).
         self.counters = TraceCounters()
-        #: Exit address of the last trace/block execution; the next
-        #: dispatch at a *different* address closes the edge.
+        #: Exit address of the last trace/block execution (or the
+        #: ``int`` a resumed task returns from, set by the engine); the
+        #: next dispatch at a *different* address closes the edge.
         self.pending_edge = None
         #: Whether this dispatch ran a body only up to a checkpoint (its
         #: exit is the event horizon's, not the code's); reset by

@@ -44,11 +44,14 @@ instruction and aborts.
 from __future__ import annotations
 
 from repro.hw.memory import RamRegion
+from repro.isa.opcodes import OP_LENGTHS, Op
 from repro.obs.counters import Counter
 from repro.perf.blocks import CHECKPOINT_INSNS, BlockCache, discover
 from repro.perf.traces import TraceJIT, _decode_at, _translate
 
 _SIZE_MASK = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
+
+_INT_LENGTH = OP_LENGTHS[Op.INT]
 
 
 def translate(block, engine):
@@ -204,6 +207,17 @@ class BlockEngine:
     body at a checkpoint boundary instead
     (:meth:`~repro.perf.traces.TraceJIT.resume`).  A discovered block
     compiles on its first whole admission.
+
+    A resume (``cpu.resumed``, raised by every
+    :meth:`~repro.hw.exceptions.ExceptionEngine.hw_return`) also sets
+    the trace profile's pending edge, which otherwise still holds the
+    last body exit of whichever task ran before.  After a guest ISR's
+    single-stepped ``iret`` the edge stays, so the ISR's return closes
+    it.  A resume right after a cached ``int`` - a syscall returning or
+    a sleep ending - closes the edge from that ``int``.  Any other
+    kernel restore (after a preemption, a deadline park, or at a task's
+    first start) lands wherever the tick did and closes no edge.  A
+    refused dispatch spends a resume as well, and closes no edge.
     """
 
     def __init__(self, cpu, horizon=None, traces=True):
@@ -291,9 +305,12 @@ class BlockEngine:
         mpu = memory.mpu
         cache = self.cache
         jit = self.traces
+        # A resume belongs to this dispatch alone, refused or not.
+        resumed = cpu.resumed
+        cpu.resumed = False
         if mpu is not None:
             if mpu.decisions is None:
-                return None
+                return self._refuse(cpu)
             if cache.epoch != mpu.epoch:
                 if cache.entries:
                     cache.flush()
@@ -317,15 +334,17 @@ class BlockEngine:
             # A transfer hook (e.g. the CFI watchdog) must observe every
             # taken transfer; compiled bodies would bypass it silently,
             # so the whole perf tier deoptimises to the interpreter.
-            return None
+            return self._refuse(cpu)
         eip = cpu.regs.eip
-        resumed = cpu.resumed
         if resumed:
             # The resume point may re-enter a cached body, or the single
             # steps to the next checkpoint boundary (at most this many
             # instructions apart) may.
-            cpu.resumed = False
             window = CHECKPOINT_INSNS
+            # A guest ISR's iret keeps the pending edge; a kernel
+            # restore closes only a syscall's.
+            if not self._after_iret():
+                jit.pending_edge = self._syscall_return(eip)
         else:
             window = self._resume_left
         charged = self._dispatch(cpu, eip, resumed, window > 0)
@@ -393,8 +412,35 @@ class BlockEngine:
         stepped = self._stepped
         if stepped is None:
             return True
-        insns = self.cpu.insn_cache
-        insn = None if insns is None else insns.peek(stepped)
-        if insn is None:
-            insn = _decode_at(self.cpu.memory, stepped)
+        insn = self._insn_at(stepped)
         return insn is None or stepped + insn.length != eip
+
+    def _insn_at(self, pc):
+        """The instruction at ``pc``: cached, else decoded from RAM."""
+        insns = self.cpu.insn_cache
+        insn = None if insns is None else insns.peek(pc)
+        return _decode_at(self.cpu.memory, pc) if insn is None else insn
+
+    def _after_iret(self):
+        """Whether the previous dispatch single-stepped an ``iret``."""
+        if self._stepped is None:
+            return False
+        insn = self._insn_at(self._stepped)
+        return insn is not None and insn.opcode == Op.IRET
+
+    def _syscall_return(self, eip):
+        """The address of the cached ``int`` right before resume point
+        ``eip`` (a syscall or a sleep returning there), or ``None``."""
+        insns = self.cpu.insn_cache
+        source = eip - _INT_LENGTH
+        insn = None if insns is None else insns.peek(source)
+        return source if insn is not None and insn.opcode == Op.INT else None
+
+    def _refuse(self, cpu):
+        """Single-step a refused dispatch: it ends the resume window and,
+        with nothing compiled watching its transfers, any profile edge."""
+        self._stepped = cpu.regs.eip
+        self._cut = False
+        self._resume_left = 0
+        self.traces.pending_edge = None
+        return None

@@ -22,6 +22,7 @@ from repro.perf.bench_core import (
     DATA_BASE,
     _build_mode_rig,
     _irq_source,
+    _mem_source,
     _run,
     _snapshot,
 )
@@ -395,6 +396,39 @@ class TestGeneratedShape:
         window test; the ``[ebp+256]``/``[ebp+260]`` stores do not."""
         hot = list(_hot_path(_loop_of(_MEMWALK_SOURCE, "walk").body))
         assert _slab_writes(hot) == [("m2", "i2", "r7"), ("m3", "i3", "r1")]
+
+    @pytest.mark.parametrize(
+        "source, head, sites",
+        [
+            pytest.param(_ALU_MIX_SOURCE, "mix", 2, id="alu-stores"),
+            pytest.param(_mem_source(10), "loop", 10, id="mem-loads-stores-stack"),
+        ],
+    )
+    def test_checked_path_rebinds_the_invariant_index(self, source, head, sites):
+        """A site whose prologue check failed runs its checked path;
+        once the slow call has installed the window, that path binds the
+        site's index again, so the rest of the dispatch accesses the
+        slab directly instead of re-testing the window every pass."""
+        loop = _loop_of(source, head)
+        for site in range(sites):
+            steady = next(
+                node
+                for node in ast.walk(loop)
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "i%d >= 0" % site
+            )
+            checked = ast.Module(steady.orelse, [])
+            slow = [
+                node.lineno
+                for node in ast.walk(checked)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func) in ("slow_load", "slow_store")
+            ]
+            rebinds = [
+                node.lineno
+                for node in ast.walk(checked)
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "i%d" % site
+            ]
+            assert slow and rebinds and max(rebinds) > max(slow)
 
 
 class TestSelfModification:
