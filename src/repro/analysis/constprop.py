@@ -72,10 +72,10 @@ def counted_loop_counter(insns, closing_opcode):
 
     Under those conditions the counter strictly decreases by one per
     iteration (mod 2^32) and the loop runs exactly ``r[reg]`` more
-    iterations whenever ``r[reg] >= 1`` at the loop head.  The trace
-    JIT uses this to unroll the first ``r[reg] - 1`` iterations with
-    the guard (and all dead flag updates) elided; the analysis passes
-    use it to bound loop trip counts.  This is the same deliberately
+    iterations whenever ``r[reg] >= 1`` at the loop head.  Its one
+    caller is the trace JIT (:func:`repro.perf.traces.build_trace`),
+    which unrolls the first ``r[reg] - 1`` iterations with the guard
+    (and all dead flag updates) elided.  This is the same deliberately
     conservative style as :func:`resolved_accesses`: a proof, not a
     heuristic.
     """

@@ -50,8 +50,10 @@ class FleetConfig:
         fabric RNG.  Two runs with equal configs and seeds are
         bit-identical.
     workers:
-        Worker-pool size (compute lanes), at least 2; ``0`` steps
-        devices serially in-process (one lane).
+        Host worker processes stepping the device machines, at least
+        2; ``0`` steps them serially in-process.  A host setting only:
+        every device computes on its own simulated core whatever the
+        value, so it leaves the result (and :meth:`to_dict`) unchanged.
     boot_mode:
         ``"snapshot"`` boots one template machine per device class
         through secure boot and forks the rest from its snapshot
@@ -74,8 +76,9 @@ class FleetConfig:
     provider:
         Attestation provider label (Footnote 2 per-provider keys).
     timeout_us:
-        Challenge expiry in fabric microseconds; ``None`` sizes it from
-        the fleet (a full round queued behind the lanes, 2x headroom).
+        Challenge expiry in fabric microseconds; ``None`` sizes it as
+        the round trip plus one device's report, each with 2x headroom,
+        plus 10 ms.
     max_attempts / max_rejects / backoff_us:
         Retry policy (see :class:`~repro.fleet.service.VerifierService`).
     hz:
@@ -143,11 +146,11 @@ class FleetConfig:
         self.obs_capacity = int(obs_capacity)
 
     def to_dict(self):
-        """JSON-serialisable echo (goes into every result dict)."""
+        """JSON-serialisable echo of the simulated fleet (goes into
+        every result dict); ``workers``, a host setting, is left out."""
         return {
             "devices": self.devices,
             "seed": self.seed,
-            "workers": self.workers,
             "boot_mode": self.boot_mode,
             "rogue": sorted(self.rogue),
             "rogue_mode": self.rogue_mode,

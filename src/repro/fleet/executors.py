@@ -8,19 +8,19 @@ byte-identical results - they differ only in *who* does the work and
 *how machines come to exist*:
 
 * :class:`SerialExecutor` - one in-process :class:`DevicePool`, stepped
-  sequentially (one compute lane).
+  sequentially.
 * :class:`PoolExecutor` - a ``multiprocessing`` worker pool; each
-  worker owns its own :class:`DevicePool` and steps its batch share,
-  giving ``workers`` concurrent compute lanes (and real host
-  parallelism on multi-core machines).
+  worker owns its own :class:`DevicePool` and steps its batch share.
 
 Boot modes come from :class:`~repro.fleet.config.FleetConfig`:
 ``snapshot`` (fork-from-template, machines recycled by rekey - the
 10k-device path) or ``cold`` (one booted machine per device id).
 
-The executor's ``lanes`` count is what the orchestrator uses to model
-simulated compute concurrency, so fleet throughput comparisons are
-deterministic and host-independent.
+The choice of executor changes host time only: the orchestrator
+charges each response to its own device's core in simulated time, so
+the result never depends on which executor stepped the machines.  On
+a 2-core host the pool shows no consistent gain over the serial
+executor (docs/FLEET.md has the measurements).
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ class SerialExecutor:
         self.cfa = bool(cfa)
         self.rogue_mode = rogue_mode
         self.pool = None
-
-    @property
-    def lanes(self):
-        """Concurrent compute lanes this executor models."""
-        return 1
 
     def start(self):
         """Create the device pool (machines boot lazily)."""
@@ -138,10 +133,6 @@ class PoolExecutor:
         self.cfa = bool(cfa)
         self.rogue_mode = rogue_mode
         self._pool = None
-
-    @property
-    def lanes(self):
-        return self.workers
 
     def start(self):
         """Spin up the worker pool (device pools build lazily per worker)."""

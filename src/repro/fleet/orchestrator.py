@@ -9,7 +9,7 @@ objects (:mod:`repro.fleet.config`)::
         fabric=FabricProfile(latency_us=200, loss=0.1),
         store=StoreConfig(backend="jsonl", path="run.jsonl"),
     )
-    result = fleet.run()          # -> FleetResult, schema 2
+    result = fleet.run()          # -> FleetResult, schema 3
 
 The pieces:
 
@@ -18,7 +18,7 @@ The pieces:
   :class:`~repro.net.fabric.FabricProfile` (seeded RNG);
 * an executor (:mod:`repro.fleet.executors`) supplying the device
   machines - snapshot-forked and recycled, or cold-booted - serially
-  or on a multiprocessing worker pool (``workers`` lanes);
+  or on a multiprocessing worker pool of ``workers`` host processes;
 * a :class:`~repro.fleet.shards.ShardedVerifierService`: device ids
   consistent-hashed onto N verifier shards, each owning its own nonce
   store and quarantine set;
@@ -32,12 +32,13 @@ deadline, sends the tick's challenges as *one* frame batch
 amortized, bit-identical to individual sends), and steps only the
 devices the fabric actually delivered to
 (:meth:`~repro.net.fabric.NetworkFabric.take_touched` - O(active), not
-O(fleet)).  Device compute is charged in *simulated* time - each
-response occupies its executor lane for the cycles the machine's clock
-actually charged, converted to fabric microseconds - so fleet
-throughput (reports per simulated second) is deterministic and
-host-independent: a worker pool with K lanes genuinely overlaps K
-device computations where the serial executor must queue them.
+O(fleet)).  Device compute is charged in *simulated* time, and every
+device has its own core, as a real fleet member does: a response is
+ready at its delivery time (or when that device finished its previous
+response, if later) plus the cycles its own machine charged,
+converted to fabric microseconds.  How the host steps the machines -
+in-process or on however many worker processes - never enters the
+simulation, so the result is the same for every ``workers`` value.
 
 Everything in the :class:`~repro.fleet.result.FleetResult` is
 reproducible bit-for-bit for a given configuration and seed.
@@ -78,7 +79,6 @@ class Fleet:
 
         self.devices = config.devices
         self.seed = config.seed
-        self.workers = config.workers
         self.rogue = config.rogue
         self.provider = config.provider
         self.hz = config.hz
@@ -98,20 +98,18 @@ class Fleet:
             self._device_eps[device_id] = self.fabric.attach(address)
             self._device_of_addr[address] = device_id
 
-        lanes = self.workers if self.workers else 1
         timeout_us = config.timeout_us
         if timeout_us is None:
-            # Worst case: a full fleet round queued behind the lanes,
-            # with 2x headroom, plus the round trip.  A CFA response
-            # additionally derives the evidence key and MACs the path
-            # log (roughly another attestation's worth of cycles).
+            # The round trip plus one device's report, both with 2x
+            # headroom.  A CFA response additionally derives the
+            # evidence key and MACs the path log (roughly another
+            # attestation's worth of cycles).
             attest_us = self._cycles_to_us(
                 _ATTEST_CYCLES * (2 if config.cfa else 1)
             )
-            per_round = -(-self.devices // lanes) * attest_us
             timeout_us = (
                 2 * (self.profile.latency_us + self.profile.jitter_us)
-                + 2 * per_round
+                + 2 * attest_us
                 + 10_000
             )
         self.timeout_us = int(timeout_us)
@@ -140,13 +138,13 @@ class Fleet:
                     set(settled) & set(range(self.devices))
                 )
 
-        if self.workers:
+        if config.workers:
             self.executor = PoolExecutor(
                 range(self.devices),
                 fleet_seed=self.seed,
                 rogue=self.rogue,
                 provider=self.provider,
-                workers=self.workers,
+                workers=config.workers,
                 boot_mode=config.boot_mode,
                 cfa=config.cfa,
                 rogue_mode=config.rogue_mode,
@@ -188,8 +186,8 @@ class Fleet:
         device_eps = self._device_eps
         device_of_addr = self._device_of_addr
         addr = self._addr
-        lanes = self.executor.lanes
-        lane_busy = [0] * lanes
+        # When each device's core finishes its latest response.
+        ready_at = [0] * self.devices
         cycles_to_us = self._cycles_to_us
         self.store.begin_epoch(
             fabric.now,
@@ -242,10 +240,9 @@ class Fleet:
                         self.compute_cycles += spent
                         if response is None:
                             continue
-                        lane = device_id % lanes
-                        start = max(fabric.now, lane_busy[lane])
+                        start = max(fabric.now, ready_at[device_id])
                         done_at = start + cycles_to_us(spent)
-                        lane_busy[lane] = done_at
+                        ready_at[device_id] = done_at
                         self.responses_sent += 1
                         device_eps[device_id].send("verifier", response, at=done_at)
 
@@ -280,12 +277,7 @@ class Fleet:
         return FleetResult(
             {
                 "schema": SCHEMA_VERSION,
-                "fleet": dict(
-                    self.config.to_dict(),
-                    mode="pool" if self.workers else "serial",
-                    lanes=self.executor.lanes,
-                    timeout_us=self.timeout_us,
-                ),
+                "fleet": dict(self.config.to_dict(), timeout_us=self.timeout_us),
                 "shards": self.shard_config.to_dict(),
                 "link": self.profile.to_dict(),
                 "store": store_echo,

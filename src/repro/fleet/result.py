@@ -18,8 +18,9 @@ import json
 
 #: Version of the result-dict layout (``result["schema"]``).
 #: 1 was the pre-1.4 untyped dict; 2 adds ``schema``/``shards``/
-#: ``link``/``store`` sections and the per-shard health rollup.
-SCHEMA_VERSION = 2
+#: ``link``/``store`` sections and the per-shard health rollup; 3 echoes
+#: only the simulated fleet under ``fleet`` (no host worker settings).
+SCHEMA_VERSION = 3
 
 
 class FleetResult:
@@ -115,7 +116,10 @@ class FleetResult:
 
     def __repr__(self):
         health = self._data["health"]
-        return "FleetResult(%d/%d attested, %d quarantined, %.1f reports/s)" % (
+        return (
+            "FleetResult(%d/%d attested, %d quarantined, "
+            "%.1f reports per simulated second)"
+        ) % (
             health["attested"],
             health["total"],
             health["quarantined"],

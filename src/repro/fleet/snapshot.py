@@ -114,7 +114,8 @@ class DeviceTemplate:
 
 
 class DevicePool:
-    """Per-lane device supply: boot-mode aware, memory-bounded.
+    """The device supply of one executor or pool worker: boot-mode
+    aware, memory-bounded.
 
     ``boot_mode="snapshot"`` keeps one recycled machine per device
     class (forked from a lazily booted :class:`DeviceTemplate`) and

@@ -7,7 +7,6 @@ Usage::
     python -m repro.tools.bench --list
     python -m repro.tools.bench --throughput  # CPU-core insns/sec bench
     python -m repro.tools.bench --wcet        # static vs dynamic WCET
-    python -m repro.tools.bench --fleet       # fleet attestation bench
     python -m repro.tools.bench --cfa         # CFA recording overhead
 
 The throughput mode runs the CPU bench (:mod:`repro.perf.bench_core`):
@@ -26,12 +25,6 @@ report is written).  Gate runs never append to the report history;
 The WCET mode runs the static-analysis soundness experiments
 (:mod:`repro.analysis.bench`): each benchmark workload's statically
 computed cycle bound next to the cycles the core actually charged.
-The fleet mode runs the attestation-service lane-scaling bench
-(:mod:`repro.perf.bench_fleet`): reports per simulated second vs.
-device count across 1/2/4 worker lanes (sharded verifier tier,
-snapshot boot), appending to ``BENCH_fleet.json``; with ``--check``
-it fails when the top lane count scales below 0.7x linear over one
-lane at the largest device count.
 """
 
 from __future__ import annotations
@@ -70,8 +63,7 @@ def build_parser():
         "--json",
         default=None,
         metavar="PATH",
-        help="report path (default BENCH_cpu_core.json, or "
-        "BENCH_fleet.json with --fleet)",
+        help="throughput/CFA report path (default BENCH_cpu_core.json)",
     )
     parser.add_argument(
         "--wcet",
@@ -83,23 +75,6 @@ def build_parser():
         action="store_true",
         help="run the control-flow-attestation overhead bench "
         "(path recording on vs. off, every execution tier)",
-    )
-    parser.add_argument(
-        "--fleet",
-        action="store_true",
-        help="run the fleet attestation scaling bench (serial vs. pool)",
-    )
-    parser.add_argument(
-        "--fleet-devices",
-        default="64,1024,10240",
-        metavar="N,N,...",
-        help="device counts swept by the fleet bench (default 64,1024,10240)",
-    )
-    parser.add_argument(
-        "--fleet-lanes",
-        default="1,2,4",
-        metavar="K,K,...",
-        help="worker-lane counts swept by the fleet bench (default 1,2,4)",
     )
     parser.add_argument(
         "--no-blocks",
@@ -240,20 +215,6 @@ def main(argv=None, out=None):
             out=out,
             record=args.record and not args.check,
         )
-        return 0
-    if args.fleet:
-        from repro.perf.bench_fleet import check_fleet, write_report
-
-        counts = [int(n) for n in args.fleet_devices.split(",") if n.strip()]
-        lanes = [int(n) for n in args.fleet_lanes.split(",") if n.strip()]
-        result = write_report(
-            path=args.json or "BENCH_fleet.json",
-            device_counts=counts,
-            lanes=lanes,
-            out=out,
-        )
-        if args.check:
-            return 0 if check_fleet(result, out) else 1
         return 0
     if args.throughput:
         from repro.perf.bench_core import write_report

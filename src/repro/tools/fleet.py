@@ -18,11 +18,13 @@ until every device is attested or quarantined.  With ``--store`` the
 protocol's durable facts are checkpointed to a JSONL file, and
 ``--resume`` skips devices that file already settled.
 
-``--json`` prints the full schema-2 result (``"schema": 2``); it is
+``--json`` prints the full schema-3 result (``"schema": 3``); it is
 bit-identical across runs with the same arguments (everything is
 seeded, and no wall-clock values are included), so two invocations can
-be diffed as a determinism check.  The exit code is 0 iff every
-non-quarantined device attested.
+be diffed as a determinism check.  ``--workers`` and ``--serial`` only
+choose how the host steps the devices (each device computes on its own
+simulated core), so they leave the output unchanged too.  The exit
+code is 0 iff every non-quarantined device attested.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0, metavar="S")
     parser.add_argument(
         "--workers", type=int, default=4, metavar="K",
-        help="worker-pool size (default 4)",
+        help="host worker processes stepping the devices (default 4)",
     )
     parser.add_argument(
         "--serial", action="store_true",
@@ -101,7 +103,7 @@ def build_parser():
     )
     parser.add_argument(
         "--json", action="store_true",
-        help="print the full schema-2 result as deterministic JSON",
+        help="print the full schema-3 result as deterministic JSON",
     )
     return parser
 
@@ -114,14 +116,8 @@ def _render(result, out):
     health = result["health"]
     fabric = result["fabric"]
     print(
-        "fleet: %d devices, %s mode (%d lanes), %s boot, seed %d"
-        % (
-            fleet["devices"],
-            fleet["mode"],
-            fleet["lanes"],
-            fleet["boot_mode"],
-            fleet["seed"],
-        ),
+        "fleet: %d devices, %s boot, seed %d"
+        % (fleet["devices"], fleet["boot_mode"], fleet["seed"]),
         file=out,
     )
     if fleet.get("cfa"):
@@ -203,7 +199,7 @@ def _render(result, out):
             file=out,
         )
     print(
-        "done in %dus simulated: %.1f reports/sec"
+        "done in %dus simulated: %.1f reports per simulated second"
         % (result["sim_elapsed_us"], result["reports_per_sec"]),
         file=out,
     )
