@@ -103,34 +103,35 @@ def main():
 
     # 4. Scale shape: a sharded verifier tier with a JSONL checkpoint
     # store, then the same configuration resumed from that store.
-    store_path = os.path.join(tempfile.mkdtemp(prefix="tytan-fleet-"), "run.jsonl")
-    config = FleetConfig(devices=64, seed=2, workers=0)
-    shards = ShardConfig(shards=4)
-    fleet = Fleet(
-        config,
-        shards=shards,
-        store=StoreConfig("jsonl", path=store_path),
-    )
-    result = fleet.run()
-    fleet.store.close()
-    show("Sharded tier (4 shards), 64 devices, checkpointed", result)
-    assert result.health["attested"] == 64
-    assert len(result.shard_health) == 4
-    assert result.checkpoint_path == store_path
+    with tempfile.TemporaryDirectory(prefix="tytan-fleet-") as tmp:
+        store_path = os.path.join(tmp, "run.jsonl")
+        config = FleetConfig(devices=64, seed=2, workers=0)
+        shards = ShardConfig(shards=4)
+        fleet = Fleet(
+            config,
+            shards=shards,
+            store=StoreConfig("jsonl", path=store_path),
+        )
+        result = fleet.run()
+        fleet.store.close()
+        show("Sharded tier (4 shards), 64 devices, checkpointed", result)
+        assert result.health["attested"] == 64
+        assert len(result.shard_health) == 4
+        assert result.checkpoint_path == store_path
 
-    resumed_fleet = Fleet(
-        config,
-        shards=shards,
-        store=StoreConfig("jsonl", path=store_path, resume=True),
-    )
-    resumed = resumed_fleet.run()
-    resumed_fleet.store.close()
-    print(
-        "\nResumed from %s: %d devices already settled, %d new challenges"
-        % (store_path, resumed["resumed"], resumed.health["challenges"])
-    )
-    assert resumed["resumed"] == 64
-    assert resumed.health["challenges"] == 0
+        resumed_fleet = Fleet(
+            config,
+            shards=shards,
+            store=StoreConfig("jsonl", path=store_path, resume=True),
+        )
+        resumed = resumed_fleet.run()
+        resumed_fleet.store.close()
+        print(
+            "\nResumed from %s: %d devices already settled, %d new challenges"
+            % (store_path, resumed["resumed"], resumed.health["challenges"])
+        )
+        assert resumed["resumed"] == 64
+        assert resumed.health["challenges"] == 0
 
     print("\nAll fleet scenarios behaved as expected.")
 

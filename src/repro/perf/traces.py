@@ -20,10 +20,13 @@ as a linear trace whose items are all straight-line instructions.
   branches in their observed-hot direction, each protected by a
   **guard**; a trace whose stitched path returns to its own head is a
   *looping trace* and compiles to a counted ``while`` loop;
-* the whole trace compiles to one Python function that keeps the CPU
-  registers in **Python locals**, folds chains of register operations
-  symbolically (six ``subi edi, 1`` become one ``r7 = (r7 - 6) &
-  0xFFFFFFFF``) and computes each value once, elides dead flag
+* the whole trace compiles to one Python function (emitted by
+  :class:`_TraceEmitter`) that keeps the CPU registers in **Python
+  locals**, folds chains of register operations symbolically (six
+  ``subi edi, 1`` become one ``r7 = (r7 - 6) & 0xFFFFFFFF``) and
+  computes each value once - a write never reassigns a local that a
+  pending chain still reads, but takes a fresh one (``r3_1``) that the
+  loop bottom binds back to ``r3`` (:class:`_FoldEmitter`) - elides dead flag
   computation and defers EFLAGS a body reads only on its way out to
   the exits that write them back, performs translated
   loads/stores as **direct slab indexing** (:class:`repro.hw.memory`'s
@@ -80,6 +83,7 @@ store that only shares the page with trace code leaves it cached.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from hashlib import blake2b
 
@@ -313,29 +317,40 @@ class _Source:
         return "\n".join(self.lines) + "\n"
 
 
+#: Operator of a chain op by tag, and of a constant logic fold.
+_SYMBOL = {"shl": "<<", "shr": ">>", "mul": "*", "and": "&", "or": "|", "xor": "^"}
+_LOGIC_FN = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
+
+
 class _FoldEmitter:
-    """Emits the trace body with register values held in Python locals.
+    """Emits register values held in Python locals, folding flag-dead ops.
 
-    Each GPR lives in a local ``r0``..``r7``.  Flag-dead register
-    operations do not emit statements immediately: they accumulate
-    *symbolically* as a base (the local, a known constant, or the local
-    of the register a ``mov`` copied) plus a chain of pending ops, and
-    adjacent ops fold (``subi edi,1`` six times renders as one ``r7 =
-    (r7 - 6) & 4294967295``).  A chain materializes into a single
-    assignment only when forced:
+    Each GPR's value lives in its *home* local, ``r0``..``r7`` on entry.
+    Flag-dead register operations do not emit statements immediately:
+    they accumulate *symbolically* as a base (the home, a known
+    constant, or the local a ``mov`` copied) plus a chain of pending
+    ops, and adjacent ops fold (``subi edi,1`` six times renders as one
+    ``r7 = (r7 - 6) & 4294967295``).  Pending text stays valid because
+    no local it reads is ever reassigned: every write of a register's
+    value goes to the local :meth:`target` picks - the register's home
+    when no pending chain, copy or text the caller still holds reads
+    it, otherwise a fresh local (``r3_1``, ``r3_2``, ...) that becomes
+    the register's home for the rest of the body.  So no emit site has
+    to order its writes against the chains it might invalidate.
 
-    * another chain captured this register's local and that local is
-      about to be reassigned (dependency flush - chains always render
-      against the local values they were captured from);
+    A chain materializes into a single assignment only when forced:
+
     * a second consumer takes the value - a ``mov``, another chain's
       operand, a store value or an address (:meth:`value_expr`): the
       register itself is the first, so the chain is spilled once into
-      its local and every consumer reads that, instead of rendering the
+      its home and every consumer reads that, instead of rendering the
       same expression twice in one iteration;
     * a flag-live computation on the register (its chain becomes the
       computation's operand);
-    * the loop-bottom fixpoint (the loop-top assumption is "every
-      register is in its local", so the bottom restores exactly that);
+    * the chain is full (:attr:`CHAIN_LIMIT` pending ops);
+    * a boundary (:meth:`rebind`): the loop bottom restores the loop-top
+      assumption, every register in its canonical local ``rK``, and so
+      does each segment checkpoint, where a resumed dispatch may enter;
     * an exit writeback - which *peeks* (renders without resetting), so
       the main line keeps folding across guard side exits.
 
@@ -350,8 +365,10 @@ class _FoldEmitter:
     def __init__(self, out, indent):
         self.out = out
         self.indent = indent
-        # base[i]: None = local holds the value; int = known constant;
-        # ("copy", k) = the value local ``r{k}`` holds (mov).
+        self.home = ["r%d" % i for i in range(8)]
+        self.fresh = [0] * 8  # fresh homes handed out, per register
+        # base[i]: None = the home holds the value; int = known constant;
+        # str = the value the named local holds (a ``mov`` copy).
         self.base = [None] * 8
         self.ops = [[] for _ in range(8)]
 
@@ -363,16 +380,16 @@ class _FoldEmitter:
     def render(self, j):
         """Peek ``j``'s current value: ``(expr, deps, clean)``.
 
-        ``deps`` is the set of register locals the text references;
-        ``clean`` says the value is already in ``[0, 2^32)``.
+        ``deps`` is the set of locals the text references; ``clean``
+        says the value is already in ``[0, 2^32)``.
         """
         base = self.base[j]
-        if base is None:
-            expr, deps, clean = "r%d" % j, {j}, True
-        elif isinstance(base, int):
-            expr, deps, clean = str(base), set(), True
+        if isinstance(base, int):
+            expr, deps = str(base), set()
         else:
-            expr, deps, clean = "r%d" % base[1], {base[1]}, True
+            expr = self.home[j] if base is None else base
+            deps = {expr}
+        clean = True
         for op in self.ops[j]:
             tag = op[0]
             if tag == "add":
@@ -390,34 +407,16 @@ class _FoldEmitter:
             elif tag == "neg":
                 expr = "(-%s)" % expr
                 clean = False
-            elif tag in ("shl", "shr"):
-                if len(op) == 2:
-                    amount, adeps = str(op[1]), set()
-                else:
-                    amount, adeps = op[1], op[2]
+            else:  # shl / shr / mul / and / or / xor, with a clean operand
+                operand, odeps = (str(op[1]), set()) if len(op) == 2 else op[1:]
                 if tag == "shr" and not clean:
                     expr = "(%s & 4294967295)" % expr
-                expr = "(%s %s %s)" % (expr, "<<" if tag == "shl" else ">>", amount)
-                deps |= adeps
-                clean = tag == "shr"
-            elif tag == "mul":
-                if len(op) == 2:
-                    operand, odeps = str(op[1]), set()
-                else:
-                    operand, odeps = op[1], op[2]
-                expr = "(%s * %s)" % (expr, operand)
+                expr = "(%s %s %s)" % (expr, _SYMBOL[tag], operand)
                 deps |= odeps
-                clean = False
-            else:  # and / or / xor, with a clean operand
-                if len(op) == 2:
-                    operand, odeps = str(op[1]), set()
-                else:
-                    operand, odeps = op[1], op[2]
-                symbol = "&" if tag == "and" else ("|" if tag == "or" else "^")
-                expr = "(%s %s %s)" % (expr, symbol, operand)
-                deps |= odeps
-                if tag == "and":
-                    clean = True  # masking by a clean operand bounds the result
+                if tag in ("shl", "mul"):
+                    clean = False
+                elif tag in ("shr", "and"):
+                    clean = True  # shifted in zeros / masked by a clean operand
         return expr, deps, clean
 
     def render_clean(self, j):
@@ -430,124 +429,87 @@ class _FoldEmitter:
     def _pending(self, j):
         return self.base[j] is not None or bool(self.ops[j])
 
-    # -- state transitions -------------------------------------------
+    # -- writes --------------------------------------------------------
 
-    def _closure(self, seed):
-        """Pending regs entangled with ``seed`` under will-be-reassigned.
+    def target(self, j, held=()):
+        """The local to write ``j``'s next value to.
 
-        Every reg in the returned set gets its local reassigned, so any
-        pending chain *reading* one of those locals must join the set
-        (its captured text refers to the pre-assignment value) - and so
-        on transitively.
+        That is ``j``'s home, unless another register's pending chain or
+        copy, or ``held`` (the locals of text the caller emits after the
+        write), reads the home: then a fresh local.  ``j``'s own pending
+        value does not count - the write replaces it.  The caller emits
+        the write, then :meth:`settle` makes the local ``j``'s value.
         """
-        members = set(seed)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(8):
-                if i in members or not self._pending(i):
-                    continue
-                if self.render(i)[1] & members:
-                    members.add(i)
-                    changed = True
-        return members
+        home = self.home[j]
+        if home in held or any(
+            i != j and self._pending(i) and home in self.render(i)[1] for i in range(8)
+        ):
+            self.fresh[j] += 1
+            home = "r%d_%d" % (j, self.fresh[j])
+        return home
 
-    def _spill(self, regs):
-        """Materialize ``regs`` in one *parallel* assignment.
-
-        Chains may read each other's locals - even cyclically
-        (``add eax, edx`` folded alongside ``add edx, eax``) - so no
-        sequential assignment order is universally correct.  A tuple
-        assignment evaluates every right-hand side against the
-        pre-assignment locals, which is exactly the state each chain
-        was captured under.
-        """
-        pending = sorted(i for i in regs if self._pending(i))
-        if not pending:
-            return
-        if len(pending) == 1:
-            j = pending[0]
-            self.emit("r%d = %s" % (j, self.render_clean(j)))
-        else:
-            targets = ", ".join("r%d" % j for j in pending)
-            values = ", ".join(self.render_clean(j) for j in pending)
-            self.emit("%s = %s" % (targets, values))
-        for j in pending:
-            self.base[j] = None
-            self.ops[j] = []
-
-    def materialize(self, j):
-        """Spill ``j``'s symbolic value into its local.
-
-        Drags along (in the same parallel assignment) every pending
-        chain that reads a local being reassigned.
-        """
-        if not self._pending(j):
-            return
-        self._spill(self._closure({j}))
-
-    def flush_dependents(self, j):
-        """Materialize every chain whose text references local ``j``.
-
-        Must run before any assignment to ``r{j}`` (captured chain text
-        refers to the value the local held at capture time).
-        """
-        seed = {
-            i
-            for i in range(8)
-            if i != j and self._pending(i) and j in self.render(i)[1]
-        }
-        if seed:
-            self._spill(self._closure(seed))
-
-    def drop(self, j):
-        """Forget ``j``'s symbolic value (dead: about to be overwritten).
-
-        Caller must have run :meth:`flush_dependents` for ``j`` first.
-        """
+    def settle(self, j, local):
+        """``j``'s value is now in ``local``, its home from here on."""
+        self.home[j] = local
         self.base[j] = None
         self.ops[j] = []
 
-    def materialize_all(self):
+    def assign(self, j, text, held=()):
+        """Emit ``j``'s new value ``text`` into :meth:`target`'s local."""
+        local = self.target(j, held)
+        self.emit("%s = %s" % (local, text))
+        self.settle(j, local)
+
+    def materialize(self, j, held=()):
+        """Spill ``j``'s pending value into a local (see :meth:`target`)."""
+        if self._pending(j):
+            self.assign(j, self.render_clean(j), held)
+
+    def rebind(self):
+        """Bind every register's value to its canonical local ``rK``.
+
+        One statement per register, in register order; a tuple
+        assignment instead when a value reads another target, which the
+        tuple reads before any target is rebound.
+        """
+        group = [j for j in range(8) if self.render(j)[0] != "r%d" % j]
+        targets = ["r%d" % j for j in group]
+        values = [self.render_clean(j) for j in group]
+        if any(t in self.render(j)[1] for j in group for t in targets if t != "r%d" % j):
+            self.emit("%s = %s" % (", ".join(targets), ", ".join(values)))
+        else:
+            for target, value in zip(targets, values):
+                self.emit("%s = %s" % (target, value))
         for j in range(8):
-            self.materialize(j)
+            self.settle(j, "r%d" % j)
 
     def value_expr(self, j):
         """``j``'s value as an operand: ``(text, deps)``, always clean.
 
-        A constant is its literal and a register in its local (or a copy
-        of one) that local's name.  A pending chain is spilled into its
-        own local first, so the value is computed once however many
-        consumers read it.  So is a copy of a register whose own chain
-        is pending: that register's spill would reassign the local the
-        copy names, and a caller may render a second operand (which can
-        spill) before it emits the first.
+        A constant is its literal, and a register in its home (or a copy)
+        that local's name.  A pending chain is spilled into a local first,
+        so the value is computed once however many consumers read it.
         """
+        if self.ops[j]:
+            self.materialize(j)
         base = self.base[j]
-        if not self.ops[j]:
-            if base is None:
-                return "r%d" % j, {j}
-            if isinstance(base, int):
-                return str(base), set()
-            if not self._pending(base[1]):
-                return "r%d" % base[1], {base[1]}
-        self.materialize(j)
-        return "r%d" % j, {j}
+        if isinstance(base, int):
+            return str(base), set()
+        text = self.home[j] if base is None else base
+        return text, {text}
+
+    def operand(self, j):
+        """Flag-dead operand: const int, or ``(expr, deps)``."""
+        expr, deps = self.value_expr(j)
+        return (expr, deps) if deps else int(expr)
 
     # -- op application (flag-dead folding) --------------------------
 
-    def make_room(self, x):
-        """Spill ``x``'s chain if it is full.
-
-        Called before an operand is rendered for ``x``'s next op: a
-        spill reassigns locals, and an operand rendered before it would
-        read them after (so :meth:`_push` only ever spills for
-        constant operands)."""
+    def _push(self, x, op, held=()):
+        """Append ``op`` (whose operand reads ``held``) to ``x``'s chain,
+        spilling the chain first when it is full."""
         if len(self.ops[x]) >= self.CHAIN_LIMIT:
-            self.materialize(x)
-
-    def _push(self, x, op):
-        self.make_room(x)
+            self.materialize(x, held)
         self.ops[x].append(op)
 
     def apply_add(self, x, sign, operand):
@@ -579,7 +541,7 @@ class _FoldEmitter:
         if ops and ops[-1][0] == "add":
             ops[-1][1].append((sign, expr, deps))
             return
-        self._push(x, ("add", [(sign, expr, deps)], 0))
+        self._push(x, ("add", [(sign, expr, deps)], 0), deps)
 
     def apply_logic(self, x, tag, operand):
         """``tag`` in and/or/xor; const int or ``(expr, deps)``."""
@@ -588,21 +550,10 @@ class _FoldEmitter:
             v = operand & _M
             base = self.base[x]
             if not ops and isinstance(base, int):
-                if tag == "and":
-                    self.base[x] = base & v
-                elif tag == "or":
-                    self.base[x] = base | v
-                else:
-                    self.base[x] = base ^ v
+                self.base[x] = _LOGIC_FN[tag](base, v)
                 return
             if ops and ops[-1][0] == tag and len(ops[-1]) == 2:
-                prev = ops[-1][1]
-                if tag == "and":
-                    merged = prev & v
-                elif tag == "or":
-                    merged = prev | v
-                else:
-                    merged = prev ^ v
+                merged = _LOGIC_FN[tag](ops[-1][1], v)
                 if tag != "and" and merged == 0:
                     # ``xor 0`` / ``or 0`` is a no-op (paired ``xori``s
                     # cancel); ``and`` keeps even an all-ones mask - it
@@ -616,7 +567,7 @@ class _FoldEmitter:
             self._push(x, (tag, v))
             return
         expr, deps = operand
-        self._push(x, (tag, expr, deps))
+        self._push(x, (tag, expr, deps), deps)
 
     def apply_shift(self, x, tag, amount):
         """``amount`` is a raw const int or ``(expr, deps)`` (& 31 added)."""
@@ -638,7 +589,7 @@ class _FoldEmitter:
             self._push(x, (tag, amount))
             return
         expr, deps = amount
-        self._push(x, (tag, "(%s & 31)" % expr, deps))
+        self._push(x, (tag, "(%s & 31)" % expr, deps), deps)
 
     def apply_mul(self, x, operand):
         ops = self.ops[x]
@@ -654,7 +605,7 @@ class _FoldEmitter:
             self._push(x, ("mul", v))
             return
         expr, deps = operand
-        self._push(x, ("mul", expr, deps))
+        self._push(x, ("mul", expr, deps), deps)
 
     def apply_neg(self, x):
         ops = self.ops[x]
@@ -668,21 +619,17 @@ class _FoldEmitter:
         self._push(x, ("neg",))
 
     def set_const(self, x, value):
-        self.flush_dependents(x)
-        self.drop(x)
         self.base[x] = value & _M
+        self.ops[x] = []
 
     def set_copy(self, x, y):
         """``mov x, y``: adopt ``y``'s current value as ``x``'s new base.
 
-        The value is rendered only after the chains reading ``x``'s
-        local are spilled: that spill may reassign the very locals a
-        value rendered before it reads (``add edi, esi; add esi, ebp;
-        mov ebp, edi`` spills ``esi`` and ``edi`` together)."""
-        self.flush_dependents(x)
+        ``x``'s old value is dropped first, so a chain it no longer
+        needs does not count as a reader of ``y``'s home."""
+        self.settle(x, self.home[x])
         expr, deps = self.value_expr(y)
-        self.drop(x)
-        self.base[x] = ("copy", deps.pop()) if deps else int(expr)
+        self.base[x] = expr if deps else int(expr)
 
 
 _ESP = 4  # Reg.ESP
@@ -943,9 +890,732 @@ def _flags_logic(fl, res):
     return fl
 
 
-def _simple(text):
-    """Whether ``text`` is a bare local or literal (no temp needed)."""
-    return text.isdigit() or (len(text) == 2 and text[0] == "r" and text[1].isdigit())
+#: Flag-dead fold by opcode: the fold emitter's op (``+``/``-`` add).
+_FOLD_TAG = {
+    Op.ADD: "+", Op.ADDI: "+", Op.SUB: "-", Op.SUBI: "-",
+    Op.AND: "and", Op.ANDI: "and", Op.OR: "or", Op.ORI: "or",
+    Op.XOR: "xor", Op.XORI: "xor", Op.SHL: "shl", Op.SHLI: "shl",
+    Op.SHR: "shr", Op.SHRI: "shr", Op.MUL: "mul",
+}
+
+#: Flag-live logic result by fold tag, over ``(a, b)`` operand texts.
+_LOGIC_TEXT = {
+    "and": "%s & %s", "or": "%s | %s", "xor": "%s ^ %s",
+    "shl": "(%s << %s) & 4294967295", "shr": "%s >> %s",
+}
+
+
+#: Memory item kind by opcode (:class:`_TraceEmitter` method names).
+_MEM_KIND = {
+    Op.LD: "load", Op.LDH: "load", Op.LDB: "load", Op.POP: "pop",
+    Op.ST: "store", Op.STH: "store", Op.STB: "store", Op.PUSH: "push", Op.PUSHI: "push",
+}
+
+
+def _negated(count):
+    return "-" + count if count.isdigit() else "-(%s)" % count
+
+
+def _aligned(cond, width, ea):
+    """``cond`` and, for a multi-byte access, ``ea``'s alignment test."""
+    mask = _ALIGN_SHIFT[width][0]
+    return cond + " and not %s & %d" % (ea, mask) if mask else cond
+
+
+def _index(base, width, ea):
+    """Slab-view index of ``ea`` in a window whose view starts at ``base``."""
+    shift = _ALIGN_SHIFT[width][1]
+    return "(%s >> %d) - %s" % (ea, shift, base) if shift else "%s - %s" % (ea, base)
+
+
+def _counter_lone(items, counter):
+    """Whether ``counter`` is touched by nothing but its own ``subi
+    counter, 1`` (the common dedicated-counter loop).  Then even the
+    per-iteration decrement is dead inside the fast body: no other item
+    observes the intermediate values, so the whole countdown is applied
+    closed-form (``r -= n``) after the loop."""
+    for item in items:
+        insn = item[2]
+        if item[0] != "insn" or insn.opcode in (Op.PUSHI, Op.NOP):
+            continue
+        if insn.reg == counter and not (insn.opcode is Op.SUBI and insn.imm == 1):
+            return False
+        if insn.opcode in _TWO_REG and insn.reg2 == counter:
+            return False
+    return True
+
+
+class _TraceEmitter:
+    """Emits one body of a trace (see :func:`generate_trace`).
+
+    The constructor fixes the body's shape: its registers, which flag
+    writers something observes (:func:`_flag_needs`) and which memory
+    sites are loop-invariant (:func:`_steady_plan`).  :meth:`prologue`,
+    one method per item kind and :meth:`finish` then append to ``out``,
+    with the register values in the fold emitter ``em``.  While items
+    are emitted, ``K``/``C`` count the instructions retired and cycles
+    accrued before the current item in one iteration, ``KL``/``KS`` the
+    load and store sites passed so far (by width), and ``k`` is the next
+    memory site (window slot).  ``flags_now`` is the EFLAGS an exit
+    writes back: ``fl`` itself, or the helper call that materializes
+    them from the last deferred writer's operands.
+    """
+
+    def __init__(self, trace, fast, segment):
+        self.trace = trace
+        self.fast = fast
+        self.segment = segment
+        self.items = items = trace.items[:-1] if fast else trace.items
+        self.looping = trace.looping and not segment  # the segment body is linear
+        self.used, self.written = _reg_usage(items)
+        #: Register locals the body never reassigns.
+        self.fixed = {"r%d" % j for j in range(8) if j not in self.written}
+        self.cuts = _checkpoint_plan(items)[0] if segment else None
+        if fast:
+            self.needs = [_FLAGS_DEAD] * len(items)
+        else:
+            self.needs = _flag_needs(items, self.cuts, self.looping)
+        self.load_n = {1: 0, 2: 0, 4: 0}
+        self.store_n = {1: 0, 2: 0, 4: 0}
+        self.site_meta = []  # (width, is_store) per memory site, in site order
+        for item in items:
+            width = _SITE_WIDTH.get(item[2].opcode)
+            if width is not None:
+                is_store = item[2].opcode in _STORE_SITES
+                (self.store_n if is_store else self.load_n)[width] += 1
+                self.site_meta.append((width, is_store))
+        #: A looping body's loop-invariant memory sites (:func:`_steady_plan`)
+        #: are checked once per dispatch, in the prologue, and run as raw
+        #: slab indexing inside the loop.  The fast body needs every site
+        #: invariant: any failed check returns ``False`` before touching
+        #: state, and the dispatcher falls back to the general body, whose
+        #: slow paths install the windows.  The general body gives a site
+        #: that fails the index ``-1``, and the site's slow path re-derives
+        #: it.
+        self.plan = _steady_plan(items) if self.looping else [None] * len(self.site_meta)
+        assert not fast or None not in self.plan
+        #: The general looping body re-runs its memory sites every
+        #: iteration, so each site's window bounds/view/base are hoisted into
+        #: per-site locals once per dispatch (refreshed whenever a slow path
+        #: installs a window): a varying site tests them every iteration, an
+        #: invariant one in its prologue check and its checked path.
+        self.hoist = self.looping and not fast
+        self.counter_lone = fast and _counter_lone(items, trace.counter_reg)
+        if fast:
+            self.cfa_used = (len(trace.items) - 1) in trace.cfa
+        else:
+            self.cfa_used = bool(trace.cfa)
+        self.out = _Source()
+        self.em = None
+        self.flags_now = "fl"
+        self.K = self.C = self.k = 0
+        self.KL = {1: 0, 2: 0, 4: 0}
+        self.KS = {1: 0, 2: 0, 4: 0}
+        #: ``(K, C, KL, KS)`` at each checkpoint boundary (segment bodies).
+        self.bounds = [(0, 0, dict(self.KL), dict(self.KS))]
+
+    # -- slab windows --------------------------------------------------
+
+    def win_cond(self, site, width, ea):
+        """Window-hit test (bounds + alignment) for memory site ``site``."""
+        return _aligned(self.win_bounds(site, ea), width, ea)
+
+    def win_bounds(self, site, ea):
+        if self.hoist:
+            return "w%dl <= %s <= w%dh" % (site, ea, site)
+        return "w is not None and w[0] <= %s <= w[1]" % ea
+
+    def win_slot(self, site, width, ea):
+        """``(view, index)`` of the slab slot a window hit accesses."""
+        if self.hoist:
+            return "w%dv" % site, _index("w%db" % site, width, ea)
+        return "w[2]", _index("w[3]", width, ea)
+
+    def win_index(self, site, width, ea):
+        """Direct slab-view index expression for a window hit."""
+        return "%s[%s]" % self.win_slot(site, width, ea)
+
+    def site_index(self, ind, site, ea):
+        """Bind invariant site ``site``'s slab view ``m<k>`` and index
+        ``i<k>`` when its window covers ``ea``, aligned, and - for a
+        store - off every snooped page; opens the ``if``, whose
+        ``else:`` the caller may add."""
+        out = self.out
+        width, is_store = self.site_meta[site]
+        cond = self.win_cond(site, width, ea)
+        if is_store:
+            cond += " and %s >> 8 not in S" % ea
+        if not self.hoist:
+            out.emit(ind, "w = W[%d]" % site)
+        out.emit(ind, "if %s:" % cond)
+        view, index = self.win_slot(site, width, ea)
+        out.emit(ind + 1, "m%d = %s" % (site, view))
+        out.emit(ind + 1, "i%d = %s" % (site, index))
+
+    def win_refresh(self, ind, site, ea):
+        """After a slow path (which may have installed or re-installed
+        the window), re-read the site's hoisted window locals, and
+        re-derive an invariant site's slab index."""
+        if self.hoist:
+            self.out.emit(ind, "w = W[%d]" % site)
+            self.out.emit(ind, "if w is not None:")
+            self.out.emit(ind + 1, "w%dl, w%dh, w%dv, w%db = w[:4]" % ((site,) * 4))
+        if self.plan[site] is not None:
+            self.site_index(ind, site, ea)
+
+    # -- exits -----------------------------------------------------------
+
+    def writebacks(self, ind):
+        for j in sorted(self.written):
+            expr, _, clean = self.em.render(j)
+            self.out.emit(ind, "r[%d] = %s" % (j, expr if clean else "%s & 4294967295" % expr))
+
+    def tally(self, per_iter, extra, loop_end=False):
+        """Closed-form count at an exit: ``extra`` in the current
+        iteration plus, in a looping body, ``per_iter`` for each
+        completed one (all ``n0`` at the natural ``loop_end``)."""
+        if not self.looping:
+            return "%d" % extra
+        if loop_end:
+            return "n0 * %d" % per_iter
+        if extra:
+            return "(n0 - n - 1) * %d + %d" % (per_iter, extra)
+        return "(n0 - n - 1) * %d" % per_iter
+
+    def plus(self, var, per_iter, extra, loop_end=False):
+        """``var`` plus the :meth:`tally` of cycles or retires so far."""
+        count = self.tally(per_iter, extra, loop_end)
+        return var if count == "0" else "%s + %s" % (var, count)
+
+    def slab_hits(self, ind, kl, ks, loop_end=False):
+        """Per-width slab hit credit at an exit point.
+
+        ``kl``/``ks`` count the load/store sites *passed* at this point
+        in the current iteration (miss paths pre-decrement the counter,
+        so passed == hit).
+        """
+        for name, totals, counts in (("SL", self.load_n, kl), ("SS", self.store_n, ks)):
+            for width in _WIDTHS:
+                passed = counts.get(width, 0)
+                if passed or (self.looping and totals[width]):
+                    count = self.tally(totals[width], passed, loop_end)
+                    self.out.emit(ind, "%s%d.hits += %s" % (name, width, count))
+
+    def exit(self, ind, eip, ret_k, cyc, ks=None, guard=False, loop_end=False):
+        """Write back the architectural state and leave at ``eip``
+        (``loop_end``: the natural end of a looping body's ``n0``
+        iterations, which falls off the function instead)."""
+        out, trace = self.out, self.trace
+        self.writebacks(ind)
+        out.emit(ind, "regs.eflags = %s" % self.flags_now)
+        out.emit(ind, "cpu.retired += %s" % self.plus("ret", trace.iter_retire, ret_k, loop_end))
+        out.emit(ind, "q = %s" % self.plus("p", trace.iter_cost, cyc, loop_end))
+        out.emit(ind, "if q:")
+        out.emit(ind + 1, "clock.charge(q)")
+        self.slab_hits(ind, self.KL, ks or self.KS, loop_end)
+        out.emit(ind, "regs.eip = %d" % eip)
+        if guard:
+            out.emit(ind, "ge()")
+        if not loop_end:
+            out.emit(ind, "return")
+
+    def slow_entry(self, ind, address, base_c):
+        """Bit-identical single-step state before a checked bus access;
+        ``p``/``ret`` then take back everything charged so far (the
+        access itself retires after the call)."""
+        out, trace = self.out, self.trace
+        cycles = self.tally(trace.iter_cost, self.C + base_c)
+        out.emit(ind, "q = p + %s" % cycles)
+        out.emit(ind, "if q:")
+        out.emit(ind + 1, "clock.charge(q)")
+        out.emit(ind, "p = %s" % _negated(cycles))
+        out.emit(ind, "cpu.retired += %s" % self.plus("ret", trace.iter_retire, self.K))
+        out.emit(ind, "ret = %s" % _negated(self.tally(trace.iter_retire, self.K + 1)))
+        out.emit(ind, "regs.eip = %d" % address)
+        out.emit(ind, "regs.eflags = %s" % self.flags_now)
+        self.writebacks(ind)
+
+    # -- the body ------------------------------------------------------
+
+    def prologue(self):
+        """The header, the register loads, each invariant site's check
+        and the loop head; creates the fold emitter."""
+        out, fast = self.out, self.fast
+        if self.segment:
+            out.emit(0, "def __trace_segment__(cpu, tr, first, last):")
+        else:
+            name = "__trace_fast__" if fast else "__trace__"
+            out.emit(0, "def %s(cpu, tr%s):" % (name, ", n" if self.looping or fast else ""))
+        out.emit(1, "regs = cpu.regs")
+        out.emit(1, "r = regs.gpr")
+        if self.site_meta:
+            out.emit(1, "memory = cpu.memory")
+            out.emit(1, "W = tr.windows")
+            if any(self.load_n.values()) and not fast:
+                out.emit(1, "W2 = tr.windows2")
+        if any(self.store_n.values()):
+            out.emit(1, "S = memory.snooped_pages")
+        out.emit(1, "clock = cpu.clock")
+        if self.cfa_used:
+            # Bound once per dispatch; the enrolment-generation flush in
+            # the block engine guarantees cpu.cfa is live whenever a body
+            # compiled with CFA flags runs.
+            out.emit(1, "CF = cpu.cfa")
+        out.emit(1, "fl = regs.eflags")
+        for j in sorted(self.used):
+            out.emit(1, "r%d = r[%d]" % (j, j))
+        if self.segment:
+            # The per-boundary entry offsets are only known once the chunks
+            # are emitted; :meth:`finish` inserts them here.
+            self.entry_at = len(out.lines)
+        elif not fast:
+            # Looping bodies count cycles and retires closed-form from the
+            # iterations done (``n0 - n``); ``p``/``ret`` only take back
+            # what a slow path has charged already.
+            out.emit(1, "p = 0")
+            out.emit(1, "ret = 0")
+            if self.looping:
+                out.emit(1, "n0 = n")
+        for site, desc in enumerate(self.plan):
+            if self.hoist:
+                out.emit(1, "w = W[%d]" % site)
+                out.emit(1, "if w is None:")
+                out.emit(2, "w = NW")
+                out.emit(1, "w%dl, w%dh, w%dv, w%db = w[:4]" % ((site,) * 4))
+            if desc is not None:
+                # One check covers all n iterations: the EA is invariant.
+                # Pure reads only before a return False.
+                breg, off = desc
+                if not off:
+                    ea = "r%d" % breg
+                else:
+                    sign = "-" if off < 0 else "+"
+                    out.emit(1, "e = (r%d %s %d) & 4294967295" % (breg, sign, abs(off)))
+                    ea = "e"
+                self.site_index(1, site, ea)
+                out.emit(1, "else:")
+                out.emit(2, "return False" if fast else "i%d = -1" % site)
+        indent = 2
+        if fast:
+            out.emit(1, "for _ in range(n):")
+        elif self.looping:
+            out.emit(1, "while n:")
+            out.emit(2, "n -= 1")
+        elif self.segment and any(self.cuts):
+            out.emit(1, "if not first:")
+        else:
+            indent = 1
+        self.em = _FoldEmitter(out, indent)
+
+    def guard(self, idx, item):
+        _, address, insn, chosen_taken, chosen = item
+        em = self.em
+        cond = _COND_EXPR[insn.opcode]
+        em.emit(("if not (%s):" if chosen_taken else "if %s:") % cond)
+        self.exit(em.indent + 1, address, self.K, self.C, guard=True)
+        if chosen_taken:
+            self.C += INSN_BRANCH_TAKEN
+        if idx in self.trace.cfa:
+            # The guard passed, so the stitched taken transfer is
+            # committed: fold it into the CFA path hash exactly as
+            # the interpreter would (its cost is already in C; a
+            # guard *failure* exits with the branch unexecuted, and
+            # the interpreter records it on re-execution).
+            em.emit("CF.record_edge(%d, %d)" % (address, chosen))
+            self.C += CFA_EDGE_CYCLES
+
+    def jmp(self, idx, item):
+        self.C += INSN_BRANCH_TAKEN
+        if idx in self.trace.cfa:
+            self.em.emit("CF.record_edge(%d, %d)" % (item[1], item[3]))
+            self.C += CFA_EDGE_CYCLES
+
+    def alu(self, idx, item):
+        insn = item[2]
+        em, opcode, x, y = self.em, insn.opcode, insn.reg, insn.reg2
+        flags = self.needs[idx]
+        if self.counter_lone and opcode is Op.SUBI and x == self.trace.counter_reg:
+            pass  # a lone counter's ``subi 1``: counted down after the loop
+        elif opcode is Op.NOP or opcode in (Op.CMP, Op.CMPI) and not flags:
+            pass
+        elif opcode is Op.MOVI:
+            em.set_const(x, insn.imm)
+        elif opcode is Op.MOV:
+            if x != y:
+                em.set_copy(x, y)
+        elif not flags:
+            tag = _FOLD_TAG.get(opcode)
+            value = em.operand(y) if opcode in _TWO_REG else insn.imm
+            if opcode is Op.NOT:
+                em.apply_logic(x, "xor", _M)
+            elif opcode is Op.NEG:
+                em.apply_neg(x)
+            elif tag in ("+", "-"):
+                em.apply_add(x, 1 if tag == "+" else -1, value)
+            elif tag in ("shl", "shr"):
+                em.apply_shift(x, tag, value)
+            elif tag == "mul":
+                em.apply_mul(x, value)
+            else:
+                em.apply_logic(x, tag, value)
+        else:
+            self.flag_live(insn, flags)
+
+    def flag_live(self, insn, flags):
+        """An ALU op whose flags something observes: the result into a
+        local, and the flags into ``fl`` (inline) or, deferred, only the
+        operands the exits rebuild them from."""
+        em, opcode, x = self.em, insn.opcode, insn.reg
+        b = em.value_expr(insn.reg2)[0] if opcode in _TWO_REG else str(insn.imm & _M)
+        a = em.render_clean(x)
+        family = _ARITH_FAMILY.get(opcode)
+        if family is None:  # AND/OR/XOR/SHL/SHR (+imm), NOT
+            if opcode is Op.NOT:
+                expr = "(~%s) & 4294967295" % a
+            else:
+                tag = _FOLD_TAG[opcode]
+                if tag in ("shl", "shr"):
+                    b = "(%s & 31)" % b if opcode in _TWO_REG else str(insn.imm & 31)
+                expr = _LOGIC_TEXT[tag] % (a, b)
+            if flags == _FLAGS_DEFERRED:
+                em.emit("fa = %s" % expr)
+                em.assign(x, "fa")
+                self.flags_now = "flogic(fl, fa)"
+                return
+            em.emit("res = %s" % expr)
+            em.assign(x, "res")
+            self.emit_fl()  # logic clears CF and OF
+            self.flags_now = "fl"
+            return
+        if opcode is Op.NEG:
+            a, b = "0", a
+        symbol = {"add": "+", "sub": "-", "mul": "*"}[family]
+        writes = opcode not in (Op.CMP, Op.CMPI)
+        if flags == _FLAGS_DEFERRED:
+            a = self.kept(a, "fa")
+            b = self.kept(b, "fb")
+            if writes:
+                em.assign(x, "(%s %s %s) & 4294967295" % (a, symbol, b))
+            self.flags_now = "f%s(fl, %s, %s)" % (family, a, b)
+            return
+        if family == "mul":
+            em.emit("raw = %s * %s" % (a, b))
+        else:
+            em.emit("a = %s" % a)
+            em.emit("b = %s" % b)
+            em.emit("raw = a %s b" % symbol)
+        em.emit("res = raw & 4294967295")
+        if writes:
+            em.assign(x, "res")
+        if family == "add":
+            self.emit_fl(
+                "raw > %d" % _M, "not ((a ^ b) & %d) and ((a ^ res) & %d)" % (_SIGN, _SIGN)
+            )
+        elif family == "sub":
+            self.emit_fl("raw < 0", "((a ^ b) & %d) and ((a ^ res) & %d)" % (_SIGN, _SIGN))
+        else:
+            self.emit_fl("raw > %d" % _M, carry_bits=2049)  # CF and OF
+        self.flags_now = "fl"
+
+    def emit_fl(self, carry=None, overflow=None, carry_bits=1):
+        em = self.em
+        em.emit("fl = fl & %d" % _FLAG_KEEP)
+        for cond, bits in (
+            (carry, carry_bits), ("res == 0", 64), ("res & %d" % _SIGN, 128), (overflow, 2048)
+        ):
+            if cond is not None:
+                em.emit("if %s:" % cond)
+                self.out.emit(em.indent + 1, "fl |= %d" % bits)
+
+    def kept(self, text, name):
+        """A deferred writer's operand as exits will read it: a literal
+        or a register local the body never reassigns as is, anything
+        else saved into the local ``name`` first."""
+        if text.isdigit() or text in self.fixed:
+            return text
+        self.em.emit("%s = %s" % (name, text))
+        return name
+
+    def bind(self, name, text):
+        """``text`` as an operand: as is when it is a bare local or a
+        literal, else bound to the local ``name`` first."""
+        if text.isdigit() or text.isidentifier():
+            return text
+        self.em.emit("%s = %s" % (name, text))
+        return name
+
+    def site_ea(self, insn):
+        """A ``ld``/``st`` site's effective address (clean), bound to
+        ``ea`` at once unless the site is invariant, whose checked path
+        binds it (:meth:`open_steady`); ``None`` in the fast body, whose
+        prologue proved it."""
+        if self.fast:
+            return None
+        em, y = self.em, insn.reg2
+        if not em.ops[y] and isinstance(em.base[y], int):
+            ea = str((em.base[y] + insn.imm) & _M)
+        else:
+            ea = em.value_expr(y)[0]
+            if insn.imm:
+                ea = "(%s + %d) & 4294967295" % (ea, insn.imm)
+        return ea if self.plan[self.k] is not None else self.bind("ea", ea)
+
+    def open_steady(self, access):
+        """Emit the current invariant site's ``access`` - a plain
+        ``m<k>[i<k>]`` slab read or write - behind its one index test,
+        and open the ``else:`` arm one level deeper for the checked path
+        (the caller closes it with ``em.indent -= 1``).  The checked path
+        binds the EA only there: it is loop-invariant, so its text reads
+        only locals the main line does not reassign in between."""
+        em = self.em
+        em.emit("if i%d >= 0:" % self.k)
+        self.out.emit(em.indent + 1, access)
+        em.emit("else:")
+        em.indent += 1
+
+    def load(self, idx, item):
+        self.read_site(item, self.site_ea(item[2]))
+
+    def pop(self, idx, item):
+        # pop loads first (a faulting load leaves ESP and the
+        # destination untouched), then bumps ESP, then writes the
+        # destination - so ``pop esp`` ends with the loaded value.
+        em = self.em
+        if not self.fast:
+            em.materialize(_ESP)
+        self.read_site(item, em.home[_ESP])
+        if item[2].reg != _ESP:
+            em.apply_add(_ESP, 1, 4)
+
+    def store(self, idx, item):
+        insn = item[2]
+        size = _SITE_WIDTH[insn.opcode]
+        ea = self.site_ea(insn)
+        value = self.em.value_expr(insn.reg)[0]
+        if size != 4:
+            mask = _SIZE_MASKS[size]
+            value = str(int(value) & mask) if value.isdigit() else "(%s & %d)" % (value, mask)
+        self.write_site(item, size, ea, value)
+
+    def push(self, idx, item):
+        # push reads its operand *before* decrementing ESP (so
+        # ``push esp`` stores the old value), and a faulting store
+        # leaves ESP already decremented - exactly as CPU.push does.
+        em, insn = self.em, item[2]
+        if insn.opcode is Op.PUSHI:
+            value, held = str(insn.imm & _M), ()
+        else:
+            value, held = em.value_expr(insn.reg)
+        em.apply_add(_ESP, -1, 4)
+        if not self.fast:
+            em.materialize(_ESP, held)
+        self.write_site(item, 4, em.home[_ESP], value)
+
+    def read_site(self, item, ea):
+        """Load the current memory site at ``ea`` into the item's
+        register: in the fast body straight off the slab, else off the
+        window or the victim window, by an in-window misaligned read, or
+        on the checked slow path."""
+        _, address, insn = item
+        em, out, k, x = self.em, self.out, self.k, insn.reg
+        size = _SITE_WIDTH[insn.opcode]
+        if self.fast:
+            em.assign(x, "m%d[i%d]" % (k, k))
+        else:
+            steady = self.plan[k] is not None
+            dest = em.target(x)
+            if steady:
+                self.open_steady("%s = m%d[i%d]" % (dest, k, k))
+                ea = self.bind("ea", ea)
+            if not self.hoist:
+                em.emit("w = W[%d]" % k)
+            em.emit("if %s:" % self.win_cond(k, size, ea))
+            ind = em.indent + 1
+            out.emit(ind, "%s = %s" % (dest, self.win_index(k, size, ea)))
+            em.emit("else:")
+            out.emit(ind, "w2 = W2[%d]" % k)
+            victim = "w2 is not None and w2[0] <= %s <= w2[1]" % ea
+            out.emit(ind, "if %s:" % _aligned(victim, size, ea))
+            out.emit(ind + 1, "%s = w2[2][%s]" % (dest, _index("w2[3]", size, ea)))
+            if _ALIGN_SHIFT[size][0]:
+                # In-window *misaligned* reads: the window's range already
+                # proves MPU read permission for any start address in
+                # ``[lo, hi - size]`` - only the typed slab view needs
+                # alignment - so the span comes off the region's byte slab
+                # (``w[4]``/``w[5]`` of the window tuple) instead of a
+                # checked slow call.  Without this, an EA that alternates
+                # between an aligned and a misaligned target takes the slow
+                # path every other access even with both windows held.
+                out.emit(ind, "elif %s:" % self.win_bounds(k, ea))
+                if self.hoist:
+                    out.emit(ind + 1, "w = W[%d]" % k)
+                out.emit(ind + 1, "j = %s - w[5]" % ea)
+                out.emit(ind + 1, '%s = int.from_bytes(w[4][j:j + %d], "little")' % (dest, size))
+                out.emit(ind, "elif %s:" % victim)
+                out.emit(ind + 1, "j = %s - w2[5]" % ea)
+                out.emit(ind + 1, '%s = int.from_bytes(w2[4][j:j + %d], "little")' % (dest, size))
+            out.emit(ind, "else:")
+            ind += 1
+            self.slow_entry(ind, address, BASE_CYCLES[insn.opcode])
+            out.emit(ind, "v, ram = slow_load(cpu, tr, %d, %s, %d, %d)" % (k, ea, size, address))
+            out.emit(ind, "cpu.retired += 1")
+            out.emit(ind, "SL%d.misses += 1" % size)
+            out.emit(ind, "%s = v" % dest)
+            out.emit(ind, "if not ram:")
+            if insn.opcode is Op.POP and x != _ESP:
+                out.emit(ind + 1, "r[4] = (%s + 4) & 4294967295" % ea)
+            out.emit(ind + 1, "r[%d] = v" % x)
+            self.slab_hits(ind + 1, self.KL, self.KS)
+            out.emit(ind + 1, "regs.eip = %d" % (address + insn.length))
+            out.emit(ind + 1, "return")
+            out.emit(ind, "SL%d.hits -= 1" % size)
+            self.win_refresh(ind, k, ea)
+            if steady:
+                em.indent -= 1
+            em.settle(x, dest)
+        self.KL[size] += 1
+        self.k += 1
+
+    def write_site(self, item, size, ea, value):
+        """Store ``value`` at the current memory site: in the fast body
+        straight onto the slab, else on a window hit with a single
+        snoop-page probe, or on the checked slow path; both end with the
+        self-modification abort.  An access aligned to its own width
+        never crosses a 256-byte snoop page, so one probe suffices - the
+        window test already proved the alignment."""
+        _, address, insn = item
+        em, out, k = self.em, self.out, self.k
+        access = "m%d[i%d] = %s" % (k, k, value)
+        if self.fast:
+            em.emit(access)
+        else:
+            steady = self.plan[k] is not None
+            if steady:
+                self.open_steady(access)
+                ea = self.bind("ea", ea)
+            value = self.bind("v", value)
+            nxt = address + insn.length
+            base_c = BASE_CYCLES[insn.opcode]
+            if not self.hoist:
+                em.emit("w = W[%d]" % k)
+            em.emit("if %s:" % self.win_cond(k, size, ea))
+            ind = em.indent + 1
+            out.emit(ind, "if %s >> 8 in S:" % ea)
+            bytes_of = "(%s)" % value if value.isdigit() else value
+            out.emit(
+                ind + 1, 'memory.write_raw(%s, %s.to_bytes(%d, "little"))' % (ea, bytes_of, size)
+            )
+            out.emit(ind + 1, "SS%d.misses += 1" % size)
+            out.emit(ind + 1, "SS%d.hits -= 1" % size)
+            out.emit(ind + 1, "if not tr.valid:")
+            stored = dict(self.KS)
+            stored[size] += 1
+            self.exit(ind + 2, nxt, self.K + 1, self.C + base_c, ks=stored)
+            out.emit(ind, "else:")
+            out.emit(ind + 1, "%s = %s" % (self.win_index(k, size, ea), value))
+            em.emit("else:")
+            self.slow_entry(ind, address, base_c)
+            out.emit(
+                ind, "ram = slow_store(cpu, tr, %d, %s, %s, %d, %d)" % (k, ea, value, size, address)
+            )
+            out.emit(ind, "cpu.retired += 1")
+            out.emit(ind, "SS%d.misses += 1" % size)
+            out.emit(ind, "if not ram or not tr.valid:")
+            self.slab_hits(ind + 1, self.KL, self.KS)
+            out.emit(ind + 1, "regs.eip = %d" % nxt)
+            out.emit(ind + 1, "return")
+            out.emit(ind, "SS%d.hits -= 1" % size)
+            self.win_refresh(ind, k, ea)
+            if steady:
+                em.indent -= 1
+        self.KS[size] += 1
+        self.k += 1
+
+    def checkpoint(self, idx):
+        """Checkpoint (segment bodies): exit at the boundary with exact
+        architectural state when it is the admitted ``last``, else bind
+        every register to its canonical local and open the next chunk,
+        which a resumed dispatch may enter directly.  Runs after the item
+        the cut follows."""
+        cuts = self.cuts
+        if cuts is None or not cuts[idx]:
+            return
+        em, number = self.em, len(self.bounds)
+        em.emit("if last == %d:" % number)
+        self.exit(em.indent + 1, _boundary_eip(self.items[idx]), self.K, self.C)
+        self.bounds.append((self.K, self.C, dict(self.KL), dict(self.KS)))
+        em.rebind()
+        if any(cuts[idx + 1:]):
+            self.out.emit(1, "if first <= %d:" % number)
+        else:
+            em.indent = 1  # the final chunk runs on every entry
+
+    def finish(self):
+        """Close the body and return its source."""
+        em, out, trace = self.em, self.out, self.trace
+        if self.fast:
+            # loop-bottom fixpoint, then closed-form accounting: the body
+            # ran n whole iterations with the counter's subi as the last
+            # flag writer, the guard provably taken, and nothing else
+            # observable in between.
+            em.rebind()
+            if out.lines[-1].endswith("range(n):"):
+                out.emit(2, "pass")  # every body op folded away
+            counter = trace.counter_reg
+            if self.counter_lone:
+                # the elided per-iteration decrements, applied at once
+                # (the bound keeps the counter >= 1, so no wraparound)
+                out.emit(1, "r%d = r%d - n" % (counter, counter))
+            out.emit(1, "fl = fl & %d" % _FLAG_KEEP)
+            out.emit(1, "if r%d & %d:" % (counter, _SIGN))
+            out.emit(2, "fl |= 128")
+            out.emit(1, "if r%d == %d:" % (counter, _SIGN - 1))
+            out.emit(2, "fl |= 2048")
+            out.emit(1, "cpu.retired += n * %d" % trace.iter_retire)
+            out.emit(1, "clock.charge(n * %d)" % trace.iter_cost)
+            if self.cfa_used:
+                # Each of the n elided closing guards was provably taken:
+                # one bulk hash update, exactly equivalent to n single
+                # records (the PathRecorder run-fold contract).
+                guard = trace.items[-1]
+                out.emit(1, "CF.record_edge_run(%d, %d, n)" % (guard[1], guard[4]))
+            for width in _WIDTHS:
+                if self.load_n[width]:
+                    out.emit(1, "SL%d.hits += n * %d" % (width, self.load_n[width]))
+                if self.store_n[width]:
+                    out.emit(1, "SS%d.hits += n * %d" % (width, self.store_n[width]))
+            self.writebacks(1)
+            out.emit(1, "regs.eflags = fl")
+            out.emit(1, "regs.eip = %d" % trace.start)
+        elif self.looping:
+            # fixpoint: restore the loop-top assumption (all registers in
+            # their canonical locals), then the natural exit at the head
+            # after n0 iterations, charged closed-form (n0 >= 1: every
+            # dispatch admits a whole iteration, so a deferred last writer
+            # has bound its operands)
+            em.rebind()
+            self.exit(1, trace.start, 0, 0, loop_end=True)
+        else:
+            # linear trace, or the linearized segment body: a segment that
+            # outlives the last checkpoint ran the rest of the straight
+            # path, so a looping trace's segment ends back at the head.
+            self.exit(1, trace.start if trace.looping else trace.exit_eip, self.K, self.C)
+        if self.segment:
+            # Entering at boundary ``first`` skips the chunks before it:
+            # offset the cycle/retire tallies and pre-debit the slab hits
+            # every exit credits from the head.
+            bounds = self.bounds
+            entry = [
+                "    p = %r[first]" % (tuple(-c for _, c, _, _ in bounds),),
+                "    ret = %r[first]" % (tuple(-r for r, _, _, _ in bounds),),
+            ]
+            for name, slot in (("SL", 2), ("SS", 3)):
+                for width in _WIDTHS:
+                    skipped = tuple(bound[slot][width] for bound in bounds)
+                    if any(skipped):
+                        entry.append("    %s%d.hits -= %r[first]" % (name, width, skipped))
+            out.lines[self.entry_at:self.entry_at] = entry
+        return out.source()
 
 
 def generate_trace(trace, fast=False, segment=False):
@@ -979,9 +1649,9 @@ def generate_trace(trace, fast=False, segment=False):
     path rendered linearly (one iteration, for looping traces) as one
     chunk per :func:`_checkpoint_plan` cut.  Called as
     ``__trace_segment__(cpu, tr, first, last)`` it enters at checkpoint
-    boundary ``first`` (0 = the head; every register is in its local at
-    a boundary, and the cycle/retire/slab tallies start offset by the
-    skipped chunks), runs to boundary ``last`` (past the final
+    boundary ``first`` (0 = the head; every register is in its canonical
+    local at a boundary, and the cycle/retire/slab tallies start offset
+    by the skipped chunks), runs to boundary ``last`` (past the final
     checkpoint: to the path's end), then writes back every register,
     EFLAGS, the exact cycle/retire charge, and the boundary EIP -
     architectural state bit-identical to single-stepping the same
@@ -989,837 +1659,24 @@ def generate_trace(trace, fast=False, segment=False):
     register spill points, so the segment body folds less than the
     full body; it only ever runs for a horizon-cut prefix or the rest
     of a path a resumed task re-enters mid-way.
+
+    The body is emitted item by item by one :class:`_TraceEmitter`.
     """
-    items = trace.items[:-1] if fast else trace.items
-    looping = trace.looping and not segment  # the segment body is linear
-    used, written = _reg_usage(items)
-    cuts = _checkpoint_plan(items)[0] if segment else None
-    needs = [_FLAGS_DEAD] * len(items) if fast else _flag_needs(items, cuts, looping)
-    load_n = {1: 0, 2: 0, 4: 0}
-    store_n = {1: 0, 2: 0, 4: 0}
-    site_meta = []  # (width, is_store) per memory site, in site order
-    for it in items:
-        if it[0] != "insn":
-            continue
-        opcode = it[2].opcode
-        if opcode in _LOAD_SITES:
-            load_n[_SITE_WIDTH[opcode]] += 1
-            site_meta.append((_SITE_WIDTH[opcode], False))
-        elif opcode in _STORE_SITES:
-            store_n[_SITE_WIDTH[opcode]] += 1
-            site_meta.append((_SITE_WIDTH[opcode], True))
-    sites = len(site_meta)
-    load_sites = sum(load_n.values())
-    store_sites = sum(store_n.values())
-    has_mem = bool(sites)
-    #: A looping body's loop-invariant memory sites (:func:`_steady_plan`)
-    #: are checked once per dispatch, in the prologue, and run as raw
-    #: slab indexing inside the loop.  The fast body needs every site
-    #: invariant: any failed check returns ``False`` before touching
-    #: state, and the dispatcher falls back to the general body, whose
-    #: slow paths install the windows.  The general body gives a site
-    #: that fails the index ``-1``, and the site's slow path re-derives
-    #: it.
-    plan = _steady_plan(items) if looping else [None] * sites
-    assert not fast or None not in plan
-    #: The general looping body re-runs its memory sites every
-    #: iteration, so each site's window bounds/view/base are hoisted into
-    #: per-site locals once per dispatch (refreshed whenever a slow path
-    #: installs a window): a varying site tests them every iteration, an
-    #: invariant one in its prologue check and its checked path.
-    hoist = looping and not fast
-    #: When the counter register is touched by nothing but its own
-    #: ``subi reg, 1`` (the common dedicated-counter loop), even the
-    #: per-iteration decrement is dead inside the fast body: no other
-    #: item observes the intermediate values, so the whole countdown is
-    #: applied closed-form (``r -= n``) after the loop.
-    counter_lone = False
-    if fast:
-        counter = trace.counter_reg
-        counter_lone = True
-        for it in items:
-            if it[0] != "insn":
-                continue
-            op = it[2].opcode
-            if op in (Op.PUSHI, Op.NOP):
-                continue
-            if it[2].reg == counter and not (op is Op.SUBI and it[2].imm == 1):
-                counter_lone = False
-                break
-            if op in _TWO_REG and it[2].reg2 == counter:
-                counter_lone = False
-                break
-    out = _Source()
-
-    def win_cond(site, width, ea):
-        """Window-hit test (bounds + alignment) for memory site ``site``."""
-        mask = _ALIGN_SHIFT[width][0]
-        if hoist:
-            cond = "w%dl <= %s <= w%dh" % (site, ea, site)
+    body = _TraceEmitter(trace, fast, segment)
+    body.prologue()
+    for idx, item in enumerate(body.items):
+        opcode = item[2].opcode
+        if item[0] != "insn":
+            kind = item[0]  # guard or jmp
+        elif opcode in ALU_OPS:
+            kind = "alu"
         else:
-            cond = "w is not None and w[0] <= %s <= w[1]" % ea
-        if mask:
-            cond += " and not %s & %d" % (ea, mask)
-        return cond
-
-    def win_slot(site, width, ea):
-        """``(view, index)`` of the slab slot a window hit accesses."""
-        shift = _ALIGN_SHIFT[width][1]
-        view = "w%dv" % site if hoist else "w[2]"
-        base_l = "w%db" % site if hoist else "w[3]"
-        if shift:
-            return view, "(%s >> %d) - %s" % (ea, shift, base_l)
-        return view, "%s - %s" % (ea, base_l)
-
-    def win_index(site, width, ea):
-        """Direct slab-view index expression for a window hit."""
-        return "%s[%s]" % win_slot(site, width, ea)
-
-    def site_index(ind, site, ea):
-        """Bind invariant site ``site``'s slab view ``m<k>`` and index
-        ``i<k>`` when its window covers ``ea``, aligned, and - for a
-        store - off every snooped page; opens the ``if``, whose
-        ``else:`` the caller may add."""
-        width, is_store = site_meta[site]
-        cond = win_cond(site, width, ea)
-        if is_store:
-            cond += " and %s >> 8 not in S" % ea
-        if not hoist:
-            out.emit(ind, "w = W[%d]" % site)
-        out.emit(ind, "if %s:" % cond)
-        view, index = win_slot(site, width, ea)
-        out.emit(ind + 1, "m%d = %s" % (site, view))
-        out.emit(ind + 1, "i%d = %s" % (site, index))
-
-    if segment:
-        out.emit(0, "def __trace_segment__(cpu, tr, first, last):")
-    else:
-        name = "__trace_fast__" if fast else "__trace__"
-        out.emit(0, "def %s(cpu, tr%s):" % (name, ", n" if looping or fast else ""))
-    out.emit(1, "regs = cpu.regs")
-    out.emit(1, "r = regs.gpr")
-    if has_mem:
-        out.emit(1, "memory = cpu.memory")
-        out.emit(1, "W = tr.windows")
-        if load_sites and not fast:
-            out.emit(1, "W2 = tr.windows2")
-    if store_sites:
-        out.emit(1, "S = memory.snooped_pages")
-    out.emit(1, "clock = cpu.clock")
-    if fast:
-        cfa_used = (len(trace.items) - 1) in trace.cfa
-    else:
-        cfa_used = bool(trace.cfa)
-    if cfa_used:
-        # Bound once per dispatch; the enrolment-generation flush in
-        # the block engine guarantees cpu.cfa is live whenever a body
-        # compiled with CFA flags runs.
-        out.emit(1, "CF = cpu.cfa")
-    out.emit(1, "fl = regs.eflags")
-    for j in sorted(used):
-        out.emit(1, "r%d = r[%d]" % (j, j))
-    if segment:
-        # The per-boundary entry offsets are only known once the chunks
-        # are emitted; they are inserted here afterwards.
-        entry_at = len(out.lines)
-    elif not fast:
-        # Looping bodies count cycles and retires closed-form from the
-        # iterations done (``n0 - n``); ``p``/``ret`` only take back
-        # what a slow path has charged already.
-        out.emit(1, "p = 0")
-        out.emit(1, "ret = 0")
-        if looping:
-            out.emit(1, "n0 = n")
-    for site, desc in enumerate(plan):
-        if hoist:
-            out.emit(1, "w = W[%d]" % site)
-            out.emit(1, "if w is None:")
-            out.emit(2, "w = NW")
-            out.emit(
-                1,
-                "w%dl, w%dh, w%dv, w%db = w[:4]" % (site, site, site, site),
-            )
-        if desc is not None:
-            # One check covers all n iterations: the EA is invariant.
-            # Pure reads only before a return False.
-            breg, off = desc
-            if not off:
-                ea = "r%d" % breg
-            else:
-                sign = "-" if off < 0 else "+"
-                out.emit(1, "e = (r%d %s %d) & 4294967295" % (breg, sign, abs(off)))
-                ea = "e"
-            site_index(1, site, ea)
-            out.emit(1, "else:")
-            out.emit(2, "return False" if fast else "i%d = -1" % site)
-    if fast:
-        out.emit(1, "for _ in range(n):")
-        em = _FoldEmitter(out, 2)
-    elif looping:
-        out.emit(1, "while n:")
-        out.emit(2, "n -= 1")
-        em = _FoldEmitter(out, 2)
-    elif segment and any(cuts):
-        out.emit(1, "if not first:")
-        em = _FoldEmitter(out, 2)
-    else:
-        em = _FoldEmitter(out, 1)
-
-    def emit_writebacks(ind):
-        for j in sorted(written):
-            expr, _, clean = em.render(j)
-            if expr == "r%d" % j:
-                out.emit(ind, "r[%d] = r%d" % (j, j))
-            else:
-                out.emit(ind, "r[%d] = %s" % (j, expr if clean else "%s & 4294967295" % expr))
-
-    def tally(per_iter, extra, loop_end=False):
-        """Closed-form count at an exit: ``extra`` in the current
-        iteration plus, in a looping body, ``per_iter`` for each
-        completed one (all ``n0`` at the natural ``loop_end``)."""
-        if not looping:
-            return "%d" % extra
-        if loop_end:
-            return "n0 * %d" % per_iter
-        if extra:
-            return "(n0 - n - 1) * %d + %d" % (per_iter, extra)
-        return "(n0 - n - 1) * %d" % per_iter
-
-    def plus(var, per_iter, extra, loop_end=False):
-        """``var`` plus the :func:`tally` of cycles or retires so far."""
-        count = tally(per_iter, extra, loop_end)
-        return var if count == "0" else "%s + %s" % (var, count)
-
-    def negated(count):
-        return "-" + count if count.isdigit() else "-(%s)" % count
-
-    def emit_slab_hits(ind, kl, ks, loop_end=False):
-        """Per-width slab hit credit at an exit point.
-
-        ``kl``/``ks`` count the load/store sites *passed* at this point
-        in the current iteration (miss paths pre-decrement the counter,
-        so passed == hit).
-        """
-        for name_, totals, counts in (("SL", load_n, kl), ("SS", store_n, ks)):
-            for width in _WIDTHS:
-                passed = counts.get(width, 0)
-                if passed or (looping and totals[width]):
-                    count = tally(totals[width], passed, loop_end)
-                    out.emit(ind, "%s%d.hits += %s" % (name_, width, count))
-
-    #: The EFLAGS an exit writes back: ``fl`` itself, or the helper call
-    #: that materializes them from the last deferred writer's operands.
-    flags_now = "fl"
-
-    def emit_exit(ind, eip, ret_k, cyc, kl, ks, guard=False):
-        emit_writebacks(ind)
-        out.emit(ind, "regs.eflags = %s" % flags_now)
-        out.emit(ind, "cpu.retired += %s" % plus("ret", trace.iter_retire, ret_k))
-        out.emit(ind, "q = %s" % plus("p", trace.iter_cost, cyc))
-        out.emit(ind, "if q:")
-        out.emit(ind + 1, "clock.charge(q)")
-        emit_slab_hits(ind, kl, ks)
-        out.emit(ind, "regs.eip = %d" % eip)
-        if guard:
-            out.emit(ind, "ge()")
-        out.emit(ind, "return")
-
-    def slow_entry(ind, address, base_c, ret_k, cyc):
-        """Bit-identical single-step state before a checked bus access;
-        ``p``/``ret`` then take back everything charged so far (the
-        access itself retires after the call)."""
-        cycles = tally(trace.iter_cost, cyc + base_c)
-        out.emit(ind, "q = p + %s" % cycles)
-        out.emit(ind, "if q:")
-        out.emit(ind + 1, "clock.charge(q)")
-        out.emit(ind, "p = %s" % negated(cycles))
-        out.emit(ind, "cpu.retired += %s" % plus("ret", trace.iter_retire, ret_k))
-        out.emit(ind, "ret = %s" % negated(tally(trace.iter_retire, ret_k + 1)))
-        out.emit(ind, "regs.eip = %d" % address)
-        out.emit(ind, "regs.eflags = %s" % flags_now)
-        emit_writebacks(ind)
-
-    def victim_cond(width, ea):
-        """Victim-window hit test (the ``w2`` local holds ``W2[site]``).
-
-        Checked between the primary window and the slow path, so a load
-        whose EA alternates between two regions stays on the slab
-        instead of thrashing one slot into a slow call per iteration."""
-        mask = _ALIGN_SHIFT[width][0]
-        cond = "w2 is not None and w2[0] <= %s <= w2[1]" % ea
-        if mask:
-            cond += " and not %s & %d" % (ea, mask)
-        return cond
-
-    def victim_index(width, ea):
-        shift = _ALIGN_SHIFT[width][1]
-        if shift:
-            return "w2[2][(%s >> %d) - w2[3]]" % (ea, shift)
-        return "w2[2][%s - w2[3]]" % ea
-
-    def emit_unaligned_loads(ind, site, x, size, ea):
-        """In-window *misaligned* load arms (widths 2/4 only), tried
-        after the aligned victim test and before the slow path.
-
-        The window's range already proves MPU read permission for any
-        start address in ``[lo, hi - size]`` - only the typed slab view
-        needs alignment - so a misaligned hit reads its span off the
-        region's byte slab (``w[4]``/``w[5]`` of the window tuple)
-        instead of paying a checked slow call.  Without this, a load
-        whose EA alternates between an aligned and a misaligned target
-        takes the slow path every other access even with the victim
-        slot holding both windows."""
-        if hoist:
-            bounds = "w%dl <= %s <= w%dh" % (site, ea, site)
-        else:
-            bounds = "w is not None and w[0] <= %s <= w[1]" % ea
-        out.emit(ind, "elif %s:" % bounds)
-        if hoist:
-            out.emit(ind + 1, "w = W[%d]" % site)
-        out.emit(ind + 1, "j = %s - w[5]" % ea)
-        out.emit(ind + 1, 'r%d = int.from_bytes(w[4][j:j + %d], "little")' % (x, size))
-        out.emit(ind, "elif w2 is not None and w2[0] <= %s <= w2[1]:" % ea)
-        out.emit(ind + 1, "j = %s - w2[5]" % ea)
-        out.emit(ind + 1, 'r%d = int.from_bytes(w2[4][j:j + %d], "little")' % (x, size))
-
-    def win_refresh(ind, site, ea):
-        """After a slow path (which may have installed or re-installed
-        the window), re-read the site's hoisted window locals, and
-        re-derive an invariant site's slab index."""
-        if hoist:
-            out.emit(ind, "w = W[%d]" % site)
-            out.emit(ind, "if w is not None:")
-            out.emit(
-                ind + 1,
-                "w%dl, w%dh, w%dv, w%db = w[:4]" % (site, site, site, site),
-            )
-        if plan[site] is not None:
-            site_index(ind, site, ea)
-
-    def emit_fl(carry=None, overflow=None, carry_bits=1):
-        em.emit("fl = fl & %d" % _FLAG_KEEP)
-        if carry is not None:
-            em.emit("if %s:" % carry)
-            out.emit(em.indent + 1, "fl |= %d" % carry_bits)
-        em.emit("if res == 0:")
-        out.emit(em.indent + 1, "fl |= 64")
-        em.emit("if res & %d:" % _SIGN)
-        out.emit(em.indent + 1, "fl |= 128")
-        if overflow is not None:
-            em.emit("if %s:" % overflow)
-            out.emit(em.indent + 1, "fl |= 2048")
-
-    def operand(j):
-        """Flag-dead operand: const int, or ``(expr, deps)``."""
-        expr, deps = em.value_expr(j)
-        return (expr, deps) if deps else int(expr)
-
-    def addr_text(insn):
-        """Effective-address expression (clean) for a ld/st operand."""
-        y = insn.reg2
-        if not em.ops[y] and isinstance(em.base[y], int):
-            return str((em.base[y] + insn.imm) & _M)
-        expr, _ = em.value_expr(y)
-        if insn.imm:
-            return "(%s + %d) & 4294967295" % (expr, insn.imm)
-        return expr
-
-    def kept(text, name):
-        """A deferred writer's operand as exits will read it: a literal
-        or a register local the body never reassigns as is, anything
-        else saved into the local ``name`` first."""
-        if text.isdigit() or (_simple(text) and int(text[1]) not in written):
-            return text
-        em.emit("%s = %s" % (name, text))
-        return name
-
-    def bind(name, text):
-        """``text`` as an operand: as is when it is a bare local or a
-        literal, else bound to the local ``name`` first."""
-        if _simple(text):
-            return text
-        em.emit("%s = %s" % (name, text))
-        return name
-
-    def open_steady(site, access):
-        """Emit an invariant site's ``access`` - a plain ``m<k>[i<k>]``
-        slab read or write - behind its one index test, and open the
-        ``else:`` arm one level deeper for the checked path (the caller
-        closes it with ``em.indent -= 1``).  The checked path binds the
-        EA only there: it is loop-invariant, so its text reads only
-        locals the main line does not reassign in between."""
-        em.emit("if i%d >= 0:" % site)
-        out.emit(em.indent + 1, access)
-        em.emit("else:")
-        em.indent += 1
-
-    def emit_store_paths(site, ea, value, size, address, nxt, base_c, ret_k, cyc):
-        """Window-hit fast path (single snoop-page probe + direct slab
-        write) and checked slow path of a store; both end with the
-        self-modification abort.  An access aligned to its own width
-        never crosses a 256-byte snoop page, so one probe suffices -
-        the window test already proved the alignment."""
-        bytes_of = "(%s)" % value if value.isdigit() else value
-        if not hoist:
-            em.emit("w = W[%d]" % site)
-        em.emit("if %s:" % win_cond(site, size, ea))
-        ind = em.indent + 1
-        out.emit(ind, "if %s >> 8 in S:" % ea)
-        out.emit(ind + 1, 'memory.write_raw(%s, %s.to_bytes(%d, "little"))' % (ea, bytes_of, size))
-        out.emit(ind + 1, "SS%d.misses += 1" % size)
-        out.emit(ind + 1, "SS%d.hits -= 1" % size)
-        out.emit(ind + 1, "if not tr.valid:")
-        ks2 = dict(KS)
-        ks2[size] += 1
-        emit_exit(ind + 2, nxt, ret_k + 1, cyc + base_c, dict(KL), ks2)
-        out.emit(ind, "else:")
-        out.emit(ind + 1, "%s = %s" % (win_index(site, size, ea), value))
-        em.emit("else:")
-        slow_entry(ind, address, base_c, ret_k, cyc)
-        out.emit(ind, "ram = slow_store(cpu, tr, %d, %s, %s, %d, %d)" % (site, ea, value, size, address))
-        out.emit(ind, "cpu.retired += 1")
-        out.emit(ind, "SS%d.misses += 1" % size)
-        out.emit(ind, "if not ram or not tr.valid:")
-        emit_slab_hits(ind + 1, dict(KL), dict(KS))
-        out.emit(ind + 1, "regs.eip = %d" % nxt)
-        out.emit(ind + 1, "return")
-        out.emit(ind, "SS%d.hits -= 1" % size)
-        win_refresh(ind, site, ea)
-
-    K = 0  # instructions retired before the current item (one iteration)
-    C = 0  # cycles accrued before the current item (one iteration)
-    KL = {1: 0, 2: 0, 4: 0}  # load sites passed so far, by width
-    KS = {1: 0, 2: 0, 4: 0}  # store sites passed so far, by width
-    k = 0  # memory-site index (window slot)
-    #: ``(K, C, KL, KS)`` at each checkpoint boundary (segment bodies).
-    bounds = [(0, 0, dict(KL), dict(KS))]
-
-    def emit_checkpoint(idx):
-        """Checkpoint (segment bodies): exit at the boundary with exact
-        architectural state when it is the admitted ``last``, else spill
-        every register into its local and open the next chunk, which a
-        resumed dispatch may enter directly.  Reads ``K``/``C``/``KL``/
-        ``KS`` at call time, i.e. the state *after* the item the cut
-        follows."""
-        if cuts is None or not cuts[idx]:
-            return
-        number = len(bounds)
-        em.emit("if last == %d:" % number)
-        emit_exit(em.indent + 1, _boundary_eip(items[idx]), K, C, dict(KL), dict(KS))
-        bounds.append((K, C, dict(KL), dict(KS)))
-        em.materialize_all()
-        if any(cuts[idx + 1:]):
-            out.emit(1, "if first <= %d:" % number)
-        else:
-            em.indent = 1  # the final chunk runs on every entry
-
-    for idx, item in enumerate(items):
-        kind = item[0]
-        address = item[1]
-        insn = item[2]
-        opcode = insn.opcode
-        base_c = BASE_CYCLES[opcode]
-        if kind == "guard":
-            chosen_taken = item[3]
-            cond = _COND_EXPR[opcode]
-            if chosen_taken:
-                em.emit("if not (%s):" % cond)
-            else:
-                em.emit("if %s:" % cond)
-            emit_exit(em.indent + 1, address, K, C, dict(KL), dict(KS), guard=True)
-            K += 1
-            C += base_c + (INSN_BRANCH_TAKEN if chosen_taken else 0)
-            if idx in trace.cfa:
-                # The guard passed, so the stitched taken transfer is
-                # committed: fold it into the CFA path hash exactly as
-                # the interpreter would (its cost is already in C; a
-                # guard *failure* exits with the branch unexecuted, and
-                # the interpreter records it on re-execution).
-                em.emit("CF.record_edge(%d, %d)" % (address, item[4]))
-                C += CFA_EDGE_CYCLES
-            emit_checkpoint(idx)
-            continue
-        if kind == "jmp":
-            K += 1
-            C += base_c + INSN_BRANCH_TAKEN
-            if idx in trace.cfa:
-                em.emit("CF.record_edge(%d, %d)" % (address, item[3]))
-                C += CFA_EDGE_CYCLES
-            emit_checkpoint(idx)
-            continue
-        x = insn.reg
-        y = insn.reg2
-        nxt = address + insn.length
-        if opcode in ALU_OPS:
-            flags = needs[idx]
-            if (
-                counter_lone
-                and opcode is Op.SUBI
-                and x == trace.counter_reg
-                and insn.imm == 1
-            ):
-                pass  # countdown applied closed-form after the loop
-            elif opcode is Op.NOP or opcode in (Op.CMP, Op.CMPI) and not flags:
-                pass
-            elif opcode is Op.MOVI:
-                em.set_const(x, insn.imm)
-            elif opcode is Op.MOV:
-                if x != y:
-                    em.set_copy(x, y)
-            elif not flags:
-                em.make_room(x)
-                if opcode in (Op.ADD, Op.SUB):
-                    em.apply_add(x, 1 if opcode is Op.ADD else -1, operand(y))
-                elif opcode in (Op.ADDI, Op.SUBI):
-                    em.apply_add(x, 1 if opcode is Op.ADDI else -1, insn.imm)
-                elif opcode in (Op.AND, Op.OR, Op.XOR):
-                    tag = "and" if opcode is Op.AND else ("or" if opcode is Op.OR else "xor")
-                    em.apply_logic(x, tag, operand(y))
-                elif opcode in (Op.ANDI, Op.ORI, Op.XORI):
-                    tag = "and" if opcode is Op.ANDI else ("or" if opcode is Op.ORI else "xor")
-                    em.apply_logic(x, tag, insn.imm)
-                elif opcode is Op.NOT:
-                    em.apply_logic(x, "xor", _M)
-                elif opcode is Op.NEG:
-                    em.apply_neg(x)
-                elif opcode in (Op.SHL, Op.SHR):
-                    em.apply_shift(x, "shl" if opcode is Op.SHL else "shr", operand(y))
-                elif opcode in (Op.SHLI, Op.SHRI):
-                    em.apply_shift(x, "shl" if opcode is Op.SHLI else "shr", insn.imm)
-                elif opcode is Op.MUL:
-                    em.apply_mul(x, operand(y))
-                else:  # pragma: no cover - ALU_OPS is closed
-                    raise AssertionError("untranslatable ALU op %r" % opcode)
-            elif opcode in _ARITH_FAMILY:
-                # flag-live arithmetic: the result into its local, and
-                # the flags into ``fl`` (inline) or, deferred, only the
-                # operands the exits rebuild them from
-                em.flush_dependents(x)
-                family = _ARITH_FAMILY[opcode]
-                if opcode is Op.NEG:
-                    a_expr, b_expr = "0", em.render_clean(x)
-                elif opcode in _TWO_REG:
-                    b_expr = em.value_expr(y)[0]
-                    a_expr = em.render_clean(x)
-                else:
-                    a_expr, b_expr = em.render_clean(x), str(insn.imm & _M)
-                symbol = {"add": "+", "sub": "-", "mul": "*"}[family]
-                writes = opcode not in (Op.CMP, Op.CMPI)
-                if flags == _FLAGS_DEFERRED:
-                    a_expr = kept(a_expr, "fa")
-                    b_expr = kept(b_expr, "fb")
-                    if writes:
-                        em.drop(x)
-                        em.emit("r%d = (%s %s %s) & 4294967295" % (x, a_expr, symbol, b_expr))
-                    flags_now = "f%s(fl, %s, %s)" % (family, a_expr, b_expr)
-                else:
-                    if family == "mul":
-                        em.emit("raw = %s * %s" % (a_expr, b_expr))
-                    else:
-                        em.emit("a = %s" % a_expr)
-                        em.emit("b = %s" % b_expr)
-                        em.emit("raw = a %s b" % symbol)
-                    em.emit("res = raw & 4294967295")
-                    if writes:
-                        em.drop(x)
-                        em.emit("r%d = res" % x)
-                    if family == "add":
-                        emit_fl(
-                            carry="raw > %d" % _M,
-                            overflow="not ((a ^ b) & %d) and ((a ^ res) & %d)" % (_SIGN, _SIGN),
-                        )
-                    elif family == "sub":
-                        emit_fl(
-                            carry="raw < 0",
-                            overflow="((a ^ b) & %d) and ((a ^ res) & %d)" % (_SIGN, _SIGN),
-                        )
-                    else:
-                        emit_fl(carry="raw > %d" % _M, carry_bits=2049)  # CF and OF
-                    flags_now = "fl"
-            else:
-                # flag-live logic family: AND/OR/XOR/SHL/SHR (+imm), NOT
-                em.flush_dependents(x)
-                if opcode in _TWO_REG:
-                    b_expr = em.value_expr(y)[0]
-                a_expr = em.render_clean(x)
-                if opcode is Op.AND:
-                    expr = "%s & %s" % (a_expr, b_expr)
-                elif opcode is Op.OR:
-                    expr = "%s | %s" % (a_expr, b_expr)
-                elif opcode is Op.XOR:
-                    expr = "%s ^ %s" % (a_expr, b_expr)
-                elif opcode is Op.ANDI:
-                    expr = "%s & %d" % (a_expr, insn.imm & _M)
-                elif opcode is Op.ORI:
-                    expr = "%s | %d" % (a_expr, insn.imm & _M)
-                elif opcode is Op.XORI:
-                    expr = "%s ^ %d" % (a_expr, insn.imm & _M)
-                elif opcode is Op.SHL:
-                    expr = "(%s << (%s & 31)) & 4294967295" % (a_expr, b_expr)
-                elif opcode is Op.SHR:
-                    expr = "%s >> (%s & 31)" % (a_expr, b_expr)
-                elif opcode is Op.SHLI:
-                    expr = "(%s << %d) & 4294967295" % (a_expr, insn.imm & 31)
-                elif opcode is Op.SHRI:
-                    expr = "%s >> %d" % (a_expr, insn.imm & 31)
-                elif opcode is Op.NOT:
-                    expr = "(~%s) & 4294967295" % a_expr
-                else:  # pragma: no cover - ALU_OPS is closed
-                    raise AssertionError("untranslatable ALU op %r" % opcode)
-                if flags == _FLAGS_DEFERRED:
-                    em.emit("fa = %s" % expr)
-                    em.drop(x)
-                    em.emit("r%d = fa" % x)
-                    flags_now = "flogic(fl, fa)"
-                else:
-                    em.emit("res = %s" % expr)
-                    em.drop(x)
-                    em.emit("r%d = res" % x)
-                    emit_fl()  # logic clears CF and OF
-                    flags_now = "fl"
-            K += 1
-            C += base_c
-            emit_checkpoint(idx)
-            continue
-
-        # -- memory items ----------------------------------------------
-        if fast:
-            # steady body: the prologue proved window hit, alignment,
-            # and (for stores) a snoop-free page for this site's
-            # invariant EA, so the access is a raw slab index.  Cycles,
-            # retires, and slab hit counters are all charged closed-form
-            # after the loop.
-            if opcode in (Op.LD, Op.LDH, Op.LDB):
-                em.flush_dependents(x)
-                em.emit("r%d = m%d[i%d]" % (x, k, k))
-                em.drop(x)
-            elif opcode in (Op.ST, Op.STH, Op.STB):
-                size = _SITE_WIDTH[opcode]
-                value = em.value_expr(x)[0]
-                if size != 4:
-                    mask = _SIZE_MASKS[size]
-                    value = (
-                        str(int(value) & mask) if value.isdigit()
-                        else "(%s & %d)" % (value, mask)
-                    )
-                em.emit("m%d[i%d] = %s" % (k, k, value))
-            elif opcode in (Op.PUSH, Op.PUSHI):
-                # value read before the ESP move (push esp stores the
-                # old value); the EA itself comes from the plan.
-                if opcode is Op.PUSH:
-                    value = em.value_expr(x)[0]
-                else:
-                    value = str(insn.imm & _M)
-                em.emit("m%d[i%d] = %s" % (k, k, value))
-                em.apply_add(_ESP, -1, 4)
-            else:  # POP (pop esp is rejected by the plan)
-                em.flush_dependents(x)
-                em.emit("r%d = m%d[i%d]" % (x, k, k))
-                em.apply_add(_ESP, 1, 4)
-                em.drop(x)
-            k += 1
-            K += 1
-            C += base_c
-            continue
-        steady = plan[k] is not None
-        if opcode in (Op.LD, Op.LDH, Op.LDB):
-            size = _SITE_WIDTH[opcode]
-            ea = addr_text(insn)
-            if not steady:
-                ea = bind("ea", ea)
-            em.flush_dependents(x)
-            if steady:
-                open_steady(k, "r%d = m%d[i%d]" % (x, k, k))
-                ea = bind("ea", ea)
-            if not hoist:
-                em.emit("w = W[%d]" % k)
-            em.emit("if %s:" % win_cond(k, size, ea))
-            ind = em.indent + 1
-            out.emit(ind, "r%d = %s" % (x, win_index(k, size, ea)))
-            em.emit("else:")
-            out.emit(ind, "w2 = W2[%d]" % k)
-            out.emit(ind, "if %s:" % victim_cond(size, ea))
-            out.emit(ind + 1, "r%d = %s" % (x, victim_index(size, ea)))
-            if _ALIGN_SHIFT[size][0]:
-                emit_unaligned_loads(ind, k, x, size, ea)
-            out.emit(ind, "else:")
-            ind += 1
-            slow_entry(ind, address, base_c, K, C)
-            out.emit(ind, "v, ram = slow_load(cpu, tr, %d, %s, %d, %d)" % (k, ea, size, address))
-            out.emit(ind, "cpu.retired += 1")
-            out.emit(ind, "SL%d.misses += 1" % size)
-            out.emit(ind, "r%d = v" % x)
-            out.emit(ind, "if not ram:")
-            out.emit(ind + 1, "r[%d] = v" % x)
-            emit_slab_hits(ind + 1, dict(KL), dict(KS))
-            out.emit(ind + 1, "regs.eip = %d" % nxt)
-            out.emit(ind + 1, "return")
-            out.emit(ind, "SL%d.hits -= 1" % size)
-            win_refresh(ind, k, ea)
-            if steady:
-                em.indent -= 1
-            em.drop(x)
-            KL[size] += 1
-            k += 1
-        elif opcode in (Op.ST, Op.STH, Op.STB):
-            size = _SITE_WIDTH[opcode]
-            ea = addr_text(insn)
-            if not steady:
-                ea = bind("ea", ea)
-            value = em.value_expr(x)[0]
-            if size != 4:
-                mask = _SIZE_MASKS[size]
-                value = (
-                    str(int(value) & mask) if value.isdigit()
-                    else "(%s & %d)" % (value, mask)
-                )
-            if steady:
-                open_steady(k, "m%d[i%d] = %s" % (k, k, value))
-                ea = bind("ea", ea)
-            emit_store_paths(k, ea, bind("v", value), size, address, nxt, base_c, K, C)
-            if steady:
-                em.indent -= 1
-            KS[size] += 1
-            k += 1
-        elif opcode in (Op.PUSH, Op.PUSHI):
-            # push reads its operand *before* decrementing ESP (so
-            # ``push esp`` stores the old value), and a faulting store
-            # leaves ESP already decremented - exactly as CPU.push does.
-            if opcode is Op.PUSH:
-                value, vdeps = em.value_expr(x)
-                if _ESP in vdeps:
-                    em.emit("v = %s" % value)
-                    value = "v"
-            else:
-                value = str(insn.imm & _M)
-            em.apply_add(_ESP, -1, 4)
-            em.materialize(_ESP)
-            if steady:
-                open_steady(k, "m%d[i%d] = %s" % (k, k, value))
-            emit_store_paths(k, "r4", value, 4, address, nxt, base_c, K, C)
-            if steady:
-                em.indent -= 1
-            KS[4] += 1
-            k += 1
-        elif opcode is Op.POP:
-            # pop loads first (a faulting load leaves ESP and the
-            # destination untouched), then bumps ESP, then writes the
-            # destination - so ``pop esp`` ends with the loaded value.
-            # Chains reading ESP's local are spilled before it moves.
-            em.materialize(_ESP)
-            em.flush_dependents(_ESP)
-            em.flush_dependents(x)
-            if steady:
-                open_steady(k, "v = m%d[i%d]" % (k, k))
-            if not hoist:
-                em.emit("w = W[%d]" % k)
-            em.emit("if %s:" % win_cond(k, 4, "r4"))
-            ind = em.indent + 1
-            out.emit(ind, "v = %s" % win_index(k, 4, "r4"))
-            em.emit("else:")
-            out.emit(ind, "w2 = W2[%d]" % k)
-            out.emit(ind, "if %s:" % victim_cond(4, "r4"))
-            out.emit(ind + 1, "v = %s" % victim_index(4, "r4"))
-            out.emit(ind, "else:")
-            ind += 1
-            slow_entry(ind, address, base_c, K, C)
-            out.emit(ind, "v, ram = slow_load(cpu, tr, %d, r4, 4, %d)" % (k, address))
-            out.emit(ind, "cpu.retired += 1")
-            out.emit(ind, "SL4.misses += 1")
-            out.emit(ind, "if not ram:")
-            out.emit(ind + 1, "r4 = (r4 + 4) & 4294967295")
-            out.emit(ind + 1, "r%d = v" % x)
-            out.emit(ind + 1, "r[4] = r4")
-            if x != _ESP:
-                out.emit(ind + 1, "r[%d] = r%d" % (x, x))
-            emit_slab_hits(ind + 1, dict(KL), dict(KS))
-            out.emit(ind + 1, "regs.eip = %d" % nxt)
-            out.emit(ind + 1, "return")
-            out.emit(ind, "SL4.hits -= 1")
-            win_refresh(ind, k, "r4")
-            if steady:
-                em.indent -= 1
-            em.emit("r4 = (r4 + 4) & 4294967295")
-            em.emit("r%d = v" % x)
-            em.drop(x)
-            KL[4] += 1
-            k += 1
-        else:  # pragma: no cover - the builder filters opcodes
-            raise AssertionError("untranslatable op %r at 0x%X" % (opcode, address))
-        K += 1
-        C += base_c
-        emit_checkpoint(idx)
-
-    if fast:
-        # loop-bottom fixpoint, then closed-form accounting: the body
-        # ran n whole iterations with the counter's subi as the last
-        # flag writer, the guard provably taken, and nothing else
-        # observable in between.
-        em.materialize_all()
-        if out.lines[-1].endswith("range(n):"):
-            out.emit(2, "pass")  # every body op folded away
-        counter = trace.counter_reg
-        if counter_lone:
-            # the elided per-iteration decrements, applied at once
-            # (the bound keeps the counter >= 1, so no wraparound)
-            out.emit(1, "r%d = r%d - n" % (counter, counter))
-        out.emit(1, "fl = fl & %d" % _FLAG_KEEP)
-        out.emit(1, "if r%d & %d:" % (counter, _SIGN))
-        out.emit(2, "fl |= 128")
-        out.emit(1, "if r%d == %d:" % (counter, _SIGN - 1))
-        out.emit(2, "fl |= 2048")
-        out.emit(1, "cpu.retired += n * %d" % trace.iter_retire)
-        out.emit(1, "clock.charge(n * %d)" % trace.iter_cost)
-        if cfa_used:
-            # Each of the n elided closing guards was provably taken:
-            # one bulk hash update, exactly equivalent to n single
-            # records (the PathRecorder run-fold contract).
-            guard = trace.items[-1]
-            out.emit(1, "CF.record_edge_run(%d, %d, n)" % (guard[1], guard[4]))
-        for width in _WIDTHS:
-            if load_n[width]:
-                out.emit(1, "SL%d.hits += n * %d" % (width, load_n[width]))
-            if store_n[width]:
-                out.emit(1, "SS%d.hits += n * %d" % (width, store_n[width]))
-        emit_writebacks(1)
-        out.emit(1, "regs.eflags = fl")
-        out.emit(1, "regs.eip = %d" % trace.start)
-    elif looping:
-        # fixpoint: restore the loop-top assumption (all registers in
-        # their locals)
-        em.materialize_all()
-        # natural exit at the head after n0 iterations, charged
-        # closed-form (n0 >= 1: every dispatch admits a whole
-        # iteration, so a deferred last writer has bound its operands)
-        emit_writebacks(1)
-        out.emit(1, "regs.eflags = %s" % flags_now)
-        out.emit(1, "cpu.retired += %s" % plus("ret", trace.iter_retire, 0, True))
-        out.emit(1, "q = %s" % plus("p", trace.iter_cost, 0, True))
-        out.emit(1, "if q:")
-        out.emit(2, "clock.charge(q)")
-        emit_slab_hits(1, {}, {}, loop_end=True)
-        out.emit(1, "regs.eip = %d" % trace.start)
-    else:
-        # linear trace, or the linearized segment body: a segment that
-        # outlives the last checkpoint ran the rest of the straight
-        # path, so a looping trace's segment ends back at the head.
-        final_eip = trace.start if trace.looping else trace.exit_eip
-        emit_exit(1, final_eip, K, C, dict(KL), dict(KS))
-    if segment:
-        # Entering at boundary ``first`` skips the chunks before it:
-        # offset the cycle/retire tallies and pre-debit the slab hits
-        # every exit credits from the head.
-        entry = [
-            "    p = %r[first]" % (tuple(-c for _, c, _, _ in bounds),),
-            "    ret = %r[first]" % (tuple(-r for r, _, _, _ in bounds),),
-        ]
-        for name_, slot in (("SL", 2), ("SS", 3)):
-            for width in _WIDTHS:
-                skipped = tuple(bound[slot][width] for bound in bounds)
-                if any(skipped):
-                    entry.append("    %s%d.hits -= %r[first]" % (name_, width, skipped))
-        out.lines[entry_at:entry_at] = entry
-    return out.source()
+            kind = _MEM_KIND[opcode]
+        getattr(body, kind)(idx, item)
+        body.K += 1
+        body.C += BASE_CYCLES[opcode]
+        body.checkpoint(idx)
+    return body.finish()
 
 
 def _trace_namespace(counters):

@@ -56,7 +56,7 @@ _INT_LENGTH = OP_LENGTHS[Op.INT]
 
 def translate(block, engine):
     """Compile ``block`` in place through the trace emitter: fills
-    ``run`` and ``source``, crediting ``engine``'s counters and
+    ``run`` (bodies keep no source), crediting ``engine``'s counters and
     memoizing through its code-object table."""
     return _translate(block, engine.traces.counters, engine.codes, "block")
 

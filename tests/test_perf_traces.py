@@ -10,6 +10,7 @@ traces, and the trace counters land on the platform's obs registry.
 """
 
 import ast
+import re
 
 import pytest
 
@@ -26,7 +27,14 @@ from repro.perf.bench_core import (
     _run,
     _snapshot,
 )
-from repro.perf.traces import TRACE_HOT_EDGE, build_trace, EdgeProfile, generate_trace
+from repro.perf.traces import (
+    TRACE_HOT_EDGE,
+    EdgeProfile,
+    _FoldEmitter,
+    _Source,
+    build_trace,
+    generate_trace,
+)
 
 #: A loop whose conditional branch flips direction partway through:
 #: ``jl skip`` is taken for the first 20 iterations and falls through
@@ -352,12 +360,26 @@ def _slab_writes(nodes):
     ]
 
 
+def _fresh_or_parallel(loop):
+    """Assignments in ``loop`` to a fresh register local (``r3_1``) or
+    to several register locals at once."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Assign)
+        and re.fullmatch(r"r\d_\d+|\(r\d(, r\d)+\)", ast.unparse(node.targets[0]))
+    ]
+
+
 class TestGeneratedShape:
     def test_loop_body_computes_each_value_once(self):
         """The product feeds ``mov``, the xor chain and the store; it is
         rendered once per iteration, and the main line computes no flag
-        (the exits rebuild EFLAGS from the kept operands)."""
+        (the exits rebuild EFLAGS from the kept operands).  No write
+        lands under a pending reader, so every value stays in its own
+        local and the loop bottom rebinds nothing."""
         loop = _loop_of(_ALU_MIX_SOURCE, "mix")
+        assert not _fresh_or_parallel(loop)
         main_line = [
             node
             for statement in loop.body
@@ -394,8 +416,22 @@ class TestGeneratedShape:
     def test_memwalk_fixed_stores_are_plain_slab_writes(self):
         """The ring slot's load and store move every pass and keep their
         window test; the ``[ebp+256]``/``[ebp+260]`` stores do not."""
-        hot = list(_hot_path(_loop_of(_MEMWALK_SOURCE, "walk").body))
-        assert _slab_writes(hot) == [("m2", "i2", "r7"), ("m3", "i3", "r1")]
+        loop = _loop_of(_MEMWALK_SOURCE, "walk")
+        assert _slab_writes(list(_hot_path(loop.body))) == [("m2", "i2", "r7"), ("m3", "i3", "r1")]
+        assert not _fresh_or_parallel(loop)
+
+    def test_a_write_under_a_pending_reader_takes_a_fresh_local(self):
+        """``add edx, eax`` folds into a chain that reads eax's local; a
+        write of eax then goes to a fresh local, and the chain still
+        renders against the value it was captured from."""
+        em = _FoldEmitter(_Source(), 1)
+        em.apply_add(2, 1, em.operand(0))
+        chain = em.render(2)
+        em.assign(0, "7")
+        em.assign(1, "5")
+        assert em.out.lines == ["    r0_1 = 7", "    r1 = 5"]
+        assert em.render(2) == chain
+        assert em.value_expr(0) == ("r0_1", {"r0_1"})
 
     @pytest.mark.parametrize(
         "source, head, sites",
