@@ -16,8 +16,8 @@ Layers (bottom up):
 * :mod:`repro.rtos` - the FreeRTOS-like preemptive real-time kernel.
 * :mod:`repro.core` - TyTAN's trusted components and the
   :class:`~repro.core.system.TyTAN` facade.
-* :mod:`repro.sim` - tracing, rate monitoring, footprint model,
-  synthetic workloads.
+* :mod:`repro.sim` - activation recording, rate monitoring, VCD
+  export, footprint model, synthetic workloads.
 * :mod:`repro.uc` - the adaptive cruise control use case.
 
 Quickstart::
@@ -42,7 +42,8 @@ everything in ``__all__`` below is covered by compatibility guarantees:
 * :class:`Verifier` - the off-device attestation verifier;
 * :mod:`repro.obs` (re-exported as ``obs``) with :class:`Event` and
   :class:`EventBus` - the unified observability bus; every system
-  exposes one at ``system.obs`` / ``platform.obs``;
+  exposes one at ``system.obs`` / ``platform.obs``, and every view of
+  a run subscribes to it (``system.obs.subscribe(callback)``);
 * the fleet stack (:mod:`repro.fleet`): :class:`Fleet` constructed
   from the typed configs :class:`FleetConfig` / :class:`ShardConfig` /
   :class:`FabricProfile` / :class:`StoreConfig`, returning a

@@ -102,7 +102,6 @@ class FleetConfig:
         max_attempts=8,
         max_rejects=3,
         backoff_us=2_000,
-        backoff_factor=2,
         hz=DEFAULT_HZ,
         obs_capacity=65_536,
     ):
@@ -141,7 +140,6 @@ class FleetConfig:
         self.max_attempts = int(max_attempts)
         self.max_rejects = int(max_rejects)
         self.backoff_us = int(backoff_us)
-        self.backoff_factor = backoff_factor
         self.hz = int(hz)
         self.obs_capacity = int(obs_capacity)
 

@@ -54,6 +54,10 @@ AWAITING = "awaiting"
 ATTESTED = "attested"
 QUARANTINED = "quarantined"
 
+#: Each retry waits this many times longer than the one before it
+#: (``backoff_us * BACKOFF_FACTOR ** (attempt - 1)``).
+BACKOFF_FACTOR = 2
+
 
 def _percentile(sorted_values, pct):
     """Nearest-rank percentile of an ascending list."""
@@ -140,7 +144,6 @@ class VerifierService:
         self.max_attempts = config.max_attempts
         self.max_rejects = config.max_rejects
         self.backoff_us = config.backoff_us
-        self.backoff_factor = config.backoff_factor
         self.obs = obs
         self.store = store
         self.shard_id = int(shard_id)
@@ -186,7 +189,7 @@ class VerifierService:
             self.obs.publish("fleet", kind, device=device_id, **data)
 
     def _backoff(self, attempts):
-        return self.backoff_us * int(self.backoff_factor ** max(0, attempts - 1))
+        return self.backoff_us * BACKOFF_FACTOR ** max(0, attempts - 1)
 
     def _quarantine(self, device_id, record, reason, now=0):
         record.status = QUARANTINED

@@ -73,9 +73,6 @@ class CPU:
         self.halted = False
         #: Count of retired instructions (diagnostics / tests).
         self.retired = 0
-        #: Optional callable invoked as ``hook(cpu, insn)`` before each
-        #: instruction executes (tracing).
-        self.trace_hook = None
         #: Optional control-transfer monitor ``hook(from_eip, to_eip)``
         #: invoked on every taken branch/call/return.  This is the
         #: attachment point for hardware-assisted runtime attack
@@ -235,8 +232,6 @@ class CPU:
         else:
             memory.check_execute(eip, eip)
             insn = self._fetch(eip)
-        if self.trace_hook is not None:
-            self.trace_hook(self, insn)
         self._execute(insn)
         self.retired += 1
         return self.clock.now - before

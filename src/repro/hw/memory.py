@@ -9,8 +9,8 @@ Context frames and IPC inbox entries move as runs of consecutive 32-bit
 words.  :meth:`PhysicalMemory.read_words` and
 :meth:`PhysicalMemory.write_words` check such a run once and copy it
 straight to or from the RAM slab.  When one check cannot stand for every
-word (a watchpoint, an EA-MPU denial or partial cover, an MMIO window, a
-region straddle), they run the checked word accessors one by one in the
+word (an EA-MPU denial or partial cover, an MMIO window, a region
+straddle), they run the checked word accessors one by one in the
 caller's order, so faults, the fault log, denial events and partial
 writes are exactly those of the per-word code.
 
@@ -288,7 +288,6 @@ class PhysicalMemory:
     def __init__(self, memory_map=None):
         self.map = memory_map if memory_map is not None else MemoryMap()
         self.mpu = None
-        self._watchpoints = []
         self._write_listeners = []
         #: Word-run transfers (:meth:`read_words`/:meth:`write_words`):
         #: hits copied the slab after one check, misses ran the
@@ -315,18 +314,6 @@ class PhysicalMemory:
     def attach_mpu(self, mpu):
         """Install the EA-MPU; all subsequent accesses are checked."""
         self.mpu = mpu
-
-    def add_watchpoint(self, callback):
-        """Register ``callback(kind, address, size, actor)`` for tracing."""
-        self._watchpoints.append(callback)
-
-    def has_watchpoints(self):
-        """Whether any tracing watchpoint is attached.
-
-        The block-execution tier refuses to run while one is: its raw
-        fast-path accesses would otherwise be invisible to tracers.
-        """
-        return bool(self._watchpoints)
 
     def add_write_listener(self, callback):
         """Register ``callback(address, size)`` run after **every** write.
@@ -376,8 +363,6 @@ class PhysicalMemory:
             )
 
     def _check(self, kind, address, size, actor):
-        for callback in self._watchpoints:
-            callback(kind, address, size, actor)
         if self.mpu is not None and actor != self.HW_ACTOR:
             self.mpu.check(kind, address, size, actor)
 
@@ -453,24 +438,22 @@ class PhysicalMemory:
     def _slab_for(self, kind, address, size, actor):
         """The RAM region a word run may be copied from or to, or ``None``.
 
-        Only with no watchpoint attached (they must see every word), a
-        range inside one RAM region (MMIO registers have side effects,
-        and a straddle faults part-way), and an EA-MPU verdict allowing
-        the whole range.  A rule that allows the range covers every
-        word in it, and an uncovered range leaves every word uncovered,
-        so each per-word check would pass too.
+        Only a range inside one RAM region (MMIO registers have side
+        effects, and a straddle faults part-way) with an EA-MPU verdict
+        allowing the whole range.  A rule that allows the range covers
+        every word in it, and an uncovered range leaves every word
+        uncovered, so each per-word check would pass too.
         """
         stats = self.range_stats
-        if not self._watchpoints:
-            region = self.map.try_find(address, size)
-            if isinstance(region, RamRegion):
-                mpu = self.mpu
-                if (
-                    mpu is None
-                    or actor == self.HW_ACTOR
-                    or mpu.allows(kind, address, size, actor)
-                ):
-                    stats.hits += 1
-                    return region
+        region = self.map.try_find(address, size)
+        if isinstance(region, RamRegion):
+            mpu = self.mpu
+            if (
+                mpu is None
+                or actor == self.HW_ACTOR
+                or mpu.allows(kind, address, size, actor)
+            ):
+                stats.hits += 1
+                return region
         stats.misses += 1
         return None

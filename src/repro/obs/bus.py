@@ -189,7 +189,7 @@ class EventBus:
         except ValueError:
             pass
 
-    # -- queries (EventTrace-compatible vocabulary) -------------------------
+    # -- queries over the ring ----------------------------------------------
 
     def of_kind(self, kind):
         """All buffered events of one kind."""

@@ -1755,7 +1755,7 @@ class TraceJIT:
     Owned by the :class:`~repro.perf.translate.BlockEngine` (dispatch
     order per step: trace head, then a resume segment, then block, then
     single-step), which consults it only after its own refusal checks
-    (hooks, watchpoints, decision cache present, epoch synced).  It
+    (no transfer hook, decision cache present, epoch synced).  It
     admits every compiled body by one event-horizon rule - the engine's
     blocks through :meth:`run_linear` like linear traces, looping traces
     by whole iterations, and resumed tasks through :meth:`resume`.

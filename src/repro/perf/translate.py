@@ -188,9 +188,8 @@ class BlockEngine:
     compiled body, and decides per dispatch whether compiled code may
     run at all:
 
-    * never while a trace hook, transfer hook or memory watchpoint is
-      attached (their callbacks must see every instruction / transfer /
-      access);
+    * never while a transfer hook is attached (it must see every
+      taken transfer);
     * never when the EA-MPU has no decision cache (the hoisting proofs
       come from it);
     * otherwise a body runs only as far as fits at or before the event
@@ -301,8 +300,7 @@ class BlockEngine:
 
         Returns the cycles charged, or ``None`` to single-step.
         """
-        memory = cpu.memory
-        mpu = memory.mpu
+        mpu = cpu.memory.mpu
         cache = self.cache
         jit = self.traces
         # A resume belongs to this dispatch alone, refused or not.
@@ -326,11 +324,7 @@ class BlockEngine:
             # block cache is unaffected).
             self._cfa_generation = generation
             jit.epoch_flush(reason="cfa-generation")
-        if (
-            cpu.trace_hook is not None
-            or cpu.transfer_hook is not None
-            or memory.has_watchpoints()
-        ):
+        if cpu.transfer_hook is not None:
             # A transfer hook (e.g. the CFI watchdog) must observe every
             # taken transfer; compiled bodies would bypass it silently,
             # so the whole perf tier deoptimises to the interpreter.

@@ -145,7 +145,7 @@ class Kernel:
         self.clock = platform.clock
         self.memory = platform.memory
         #: The platform's observability bus (repro.obs); every kernel
-        #: event is published here alongside the kernel sinks.
+        #: event is published here.
         self.obs = platform.obs
         self.scheduler = Scheduler()
         self.timer_service = TimerService()
@@ -162,8 +162,6 @@ class Kernel:
         self._trap_handlers = {}
         #: vector -> handler(kernel) for device IRQs.
         self._irq_handlers = {}
-        #: Diagnostic event sink: callables ``f(cycle, kind, data)``.
-        self._event_sinks = []
         #: Tasks that died with a fault: tcb -> exception.
         self.faulted = {}
         #: Hooks run when a task is deleted.
@@ -181,26 +179,13 @@ class Kernel:
 
     # -- events -----------------------------------------------------------
 
-    def add_event_sink(self, sink):
-        """Register a trace sink ``sink(cycle, kind, data_dict)``.
-
-        Sinks see exactly the kernel-emitted event stream, also with
-        the observability bus disabled.  For events from *every* layer
-        (hardware, kernel, trusted components) subscribe to the bus
-        instead: ``kernel.obs.subscribe(callback)`` receives structured
-        :class:`~repro.obs.bus.Event` objects.
-        """
-        self._event_sinks.append(sink)
-
     def emit(self, kind, **data):
-        """Emit a trace event to the observability bus and all sinks."""
+        """Publish a kernel event on the observability bus."""
         bus = self.obs
         if bus is not None and bus.enabled:
             bus.publish(
                 _KIND_SOURCES.get(kind, "rtos"), kind, task=data.get("name"), **data
             )
-        for sink in self._event_sinks:
-            sink(self.clock.now, kind, data)
 
     # -- task creation ----------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Measurement and experiment infrastructure.
 
-* :mod:`repro.sim.trace` - event tracing and activation recording;
+* :mod:`repro.sim.trace` - activation recording;
 * :mod:`repro.sim.deadline` - rate / deadline monitors for the Table 1
   real-time evaluation;
 * :mod:`repro.sim.footprint` - the Table 8 memory-consumption model;
@@ -8,7 +8,7 @@
   the Table 4/5/7 benches.
 """
 
-from repro.sim.trace import EventTrace, ActivationRecorder
+from repro.sim.trace import ActivationRecorder
 from repro.sim.deadline import RateMonitor, RateReport
 from repro.sim.footprint import (
     ComponentFootprint,
@@ -32,7 +32,6 @@ from repro.sim.analysis import (
 from repro.sim.vcd import VcdRecorder
 
 __all__ = [
-    "EventTrace",
     "ActivationRecorder",
     "RateMonitor",
     "RateReport",

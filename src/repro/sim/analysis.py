@@ -1,7 +1,8 @@
 """Schedule analysis: CPU shares, response times, release jitter.
 
-Post-processes an :class:`~repro.sim.trace.EventTrace` (or raw
-activation stamps) into the numbers a real-time engineer asks for:
+Post-processes the kernel's task accounting and activation stamps
+(from an :class:`~repro.sim.trace.ActivationRecorder` or the
+observability bus) into the numbers a real-time engineer asks for:
 
 * per-task CPU utilisation over a window;
 * release jitter of periodic tasks (deviation of activation spacing

@@ -1,11 +1,12 @@
 """VCD (Value Change Dump) export of kernel execution traces.
 
-Hardware people read waveforms.  :class:`VcdRecorder` listens to kernel
-events and records per-task scheduling state plus interrupt activity as
-signals on the platform's cycle clock; :meth:`VcdRecorder.dump` writes
-an IEEE-1364 VCD file loadable in GTKWave & friends, with one 3-bit
-state signal per task (idle/ready/running/blocked/suspended) and an
-event wire per interrupt vector.
+Hardware people read waveforms.  :class:`VcdRecorder` subscribes to the
+observability bus and records per-task scheduling state plus interrupt
+activity as signals on the platform's cycle clock;
+:meth:`VcdRecorder.dump` writes an IEEE-1364 VCD file loadable in
+GTKWave & friends, with one 3-bit state signal per task
+(idle/ready/running/blocked/suspended) and an event wire per interrupt
+vector.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class VcdRecorder:
 
     Attach to a kernel at construction; drive the system; call
     :meth:`dump`.  State sampling is event-based (state changes are
-    captured whenever the kernel emits an event), which is exactly when
+    captured at every event on the kernel's bus), which is exactly when
     the states can change.
     """
 
@@ -43,7 +44,7 @@ class VcdRecorder:
         self._last = {}
         #: known task signals: tid -> signal name
         self._task_signals = {}
-        kernel.add_event_sink(self._on_event)
+        kernel.obs.subscribe(self._on_event)
         # Per-transition precision: the scheduler notifies us directly.
         kernel.scheduler.state_hook = self._on_state_change
         self._sample(0)
@@ -76,7 +77,8 @@ class VcdRecorder:
             name = self._signal_for(task)
             self._record(name, cycle, STATE_CODES.get(task.state, 0))
 
-    def _on_event(self, cycle, kind, data):
+    def _on_event(self, event):
+        cycle, kind, data = event.cycle, event.kind, event.data
         if kind == "irq":
             self._record("irq_%d" % data.get("vector", 0), cycle, 1)
             self._record("irq_%d" % data.get("vector", 0), cycle + 1, 0)
@@ -91,9 +93,11 @@ class VcdRecorder:
 
     def dump(self, path=None):
         """Render the VCD text; write to ``path`` when given."""
+        from repro import __version__
+
         lines = [
             "$date TyTAN simulation $end",
-            "$version repro %s $end" % "1.0.0",
+            "$version repro %s $end" % __version__,
             "$timescale 1 ns $end",  # 1 cycle ~ 1 ns for viewing purposes
             "$scope module tytan $end",
         ]

@@ -21,7 +21,6 @@ from repro import TyTAN
 from repro.core.identity import identity_of_image
 from repro.errors import ImageFormatError, TyTANError
 from repro.image.telf import TaskImage
-from repro.sim.trace import EventTrace
 
 
 def build_parser():
@@ -41,7 +40,7 @@ def build_parser():
         "--attest", action="store_true", help="remote-attest each secure task"
     )
     parser.add_argument(
-        "--trace", action="store_true", help="print the kernel event trace"
+        "--trace", action="store_true", help="print the run's first 200 bus events"
     )
     parser.add_argument(
         "--vcd", metavar="FILE", help="write a VCD waveform of task states"
@@ -55,7 +54,9 @@ def main(argv=None, out=None):
     args = build_parser().parse_args(argv)
 
     system = TyTAN()
-    trace = EventTrace(system.kernel) if args.trace else None
+    events = []
+    if args.trace:
+        system.kernel.obs.subscribe(events.append)
     vcd_recorder = None
     if args.vcd:
         from repro.sim.vcd import VcdRecorder
@@ -110,10 +111,10 @@ def main(argv=None, out=None):
                 file=out,
             )
 
-    if trace is not None:
+    if args.trace:
         print("\nevent trace:", file=out)
-        for cycle, kind, data in trace.events[:200]:
-            print("  %10d %-14s %s" % (cycle, kind, data), file=out)
+        for event in events[:200]:
+            print("  %10d %-14s %s" % (event.cycle, event.kind, event.data), file=out)
 
     if vcd_recorder is not None:
         vcd_recorder.dump(args.vcd)

@@ -153,23 +153,24 @@ class CruiseControlSystem:
     # -- instrumentation hooks ------------------------------------------------
 
     def t2_activation_hook(self):
-        """Install an event hook marking t2 activations.
+        """Subscribe to the observability bus to mark t2 activations.
 
         t2 is an ISA task, so its activations are observed at the radar
-        device: each MMIO read is one sample.  We poll the device's read
-        counter through a kernel event sink.
+        device: each MMIO read is one sample.  The device's read counter
+        is polled at every bus event, so a sample is marked at the
+        first event after its read.
         """
         radar = self.system.platform.radar
         recorder = self.recorder
         last_count = {"reads": radar.reads}
 
-        def sink(cycle, kind, data):
+        def on_event(event):
             if radar.reads > last_count["reads"]:
                 for _ in range(radar.reads - last_count["reads"]):
                     recorder.mark("t2")
                 last_count["reads"] = radar.reads
 
-        self.system.kernel.add_event_sink(sink)
+        self.system.kernel.obs.subscribe(on_event)
 
     def _control_law(self, pedal, radar):
         """The engine control law (per-mille throttle).

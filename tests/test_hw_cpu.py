@@ -255,10 +255,3 @@ class TestMisc:
     def test_retired_counter(self):
         cpu = run_until_halt(make_cpu("nop\nnop\nhlt"))
         assert cpu.retired == 3
-
-    def test_trace_hook_invoked(self):
-        cpu = make_cpu("nop\nhlt")
-        seen = []
-        cpu.trace_hook = lambda c, insn: seen.append(insn.mnemonic)
-        run_until_halt(cpu)
-        assert seen == ["nop", "hlt"]

@@ -185,14 +185,6 @@ class TestPhysicalMemory:
         with pytest.raises(MemoryFault):
             memory.write(0x4000, b"x")
 
-    def test_watchpoints_observe_accesses(self):
-        memory = make_memory()
-        seen = []
-        memory.add_watchpoint(lambda *args: seen.append(args))
-        memory.read(0x1000, 4, actor=0x42)
-        memory.write(0x1004, b"ab", actor=0x43)
-        assert seen == [("read", 0x1000, 4, 0x42), ("write", 0x1004, 2, 0x43)]
-
     def test_cross_region_access_faults(self):
         memory = make_memory()
         with pytest.raises(MemoryFault):

@@ -3,8 +3,8 @@
 Covers: bus mechanics (ring bound, filtering, subscription), the
 counter registry, JSONL round-trip, Chrome trace-event schema sanity,
 the enabled-vs-disabled bit-identical equivalence guarantee,
-:class:`RunResult`, the :class:`EventTrace` compatibility shim, the
-stable top-level API surface, and the ``repro.tools.trace`` CLI.
+:class:`RunResult`, the stable top-level API surface, and the
+``repro.tools.trace`` CLI.
 """
 
 import io
@@ -25,7 +25,6 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.sim.trace import EventTrace
 from repro.sim.workloads import busy_loop_source, counter_task_source
 from repro.tools import trace as trace_cli
 
@@ -304,33 +303,6 @@ class TestEquivalence:
     def test_capacity_config_respected(self):
         system, _ = _traced_system(obs_capacity=8)
         assert system.obs.capacity == 8 and len(system.obs) == 8
-
-
-# -- compatibility shims ------------------------------------------------------
-
-
-class TestEventTraceShim:
-    def test_fills_from_bus(self, traced):
-        system = TyTAN()
-        trace = EventTrace(system.kernel)
-        system.load_source(busy_loop_source(100), "t", secure=False)
-        system.run(max_cycles=50_000)
-        assert trace.count("task-exit") == 1
-        assert trace.count("slice-begin") > 0  # bus-only kinds visible too
-
-    def test_keep_filter_still_works(self):
-        system = TyTAN()
-        trace = EventTrace(system.kernel, keep=["task-exit"])
-        system.load_source(busy_loop_source(100), "t", secure=False)
-        system.run(max_cycles=50_000)
-        assert trace.count("task-exit") == 1 and trace.count("slice-begin") == 0
-
-    def test_disabled_bus_falls_back_to_sinks(self):
-        system = TyTAN(MachineConfig(obs_enabled=False))
-        trace = EventTrace(system.kernel)
-        system.load_source(busy_loop_source(100), "t", secure=False)
-        system.run(max_cycles=50_000)
-        assert trace.count("task-exit") == 1
 
 
 class TestPublicSurface:

@@ -7,9 +7,9 @@ before.  The resume closes no profile edge, with two exceptions that
 are guest transfers: a task resumed right after its ``int`` (a syscall
 returning, or a sleep ending) closes the edge from that ``int``, and a
 guest ISR's single-stepped ``iret`` closes the edge from the last body
-exit as before.  A dispatch the engine refuses (a hook or a watchpoint
-is attached) spends a resume there, so a later dispatch is not taken
-for one.
+exit as before.  A dispatch the engine refuses (a transfer hook is
+attached) spends a resume there, so a later dispatch is not taken for
+one.
 """
 
 import collections

@@ -7,8 +7,7 @@ accessors.  Each example builds two identical bare memories, runs the
 same transfers on both - once word by word in the caller's order, once
 through the run accessor - and asserts identical outcomes: region
 bytes, read values, exceptions, the EA-MPU fault log and denial events,
-watchpoint calls, sensor side effects and the bytes the write listeners
-heard about.
+sensor side effects and the bytes the write listeners heard about.
 
 The map holds a RAM region whose size is not a multiple of 4, a
 word-sized RAM region right after it, a 2-byte hole, and an MMIO window
@@ -47,7 +46,7 @@ class Recorder:
         self.events.append((source, kind, sorted(data.items())))
 
 
-def build(contents, rules, cached, watched):
+def build(contents, rules, cached):
     memory = PhysicalMemory(MemoryMap())
     odd = memory.map.add(RamRegion("odd", ODD_BASE, ODD_SIZE))
     word = memory.map.add(RamRegion("word", WORD_BASE, 4))
@@ -61,11 +60,9 @@ def build(contents, rules, cached, watched):
         if rule is not None:
             mpu.program_slot(index, MpuRule(*rule))
     memory.attach_mpu(mpu)
-    written, watched_calls = [], []
+    written = []
     memory.add_write_listener(lambda address, size: written.append((address, size)))
-    if watched:
-        memory.add_watchpoint(lambda *call: watched_calls.append(call))
-    return memory, sensor, written, watched_calls
+    return memory, sensor, written
 
 
 def per_word(memory, op):
@@ -160,11 +157,10 @@ operations = st.one_of(
     slots=st.lists(st.one_of(st.none(), rules()), min_size=SLOTS, max_size=SLOTS),
     ops=st.lists(operations, min_size=1, max_size=6),
     cached=st.booleans(),
-    watched=st.booleans(),
 )
-def test_word_runs_match_the_per_word_loop(contents, slots, ops, cached, watched):
-    reference, ref_sensor, ref_written, ref_watched = build(contents, slots, cached, watched)
-    memory, sensor, written, watched_calls = build(contents, slots, cached, watched)
+def test_word_runs_match_the_per_word_loop(contents, slots, ops, cached):
+    reference, ref_sensor, ref_written = build(contents, slots, cached)
+    memory, sensor, written = build(contents, slots, cached)
 
     assert run(memory, ops, word_run) == run(reference, ops, per_word)
     for region, ref_region in zip(memory.map.regions(), reference.map.regions()):
@@ -174,14 +170,13 @@ def test_word_runs_match_the_per_word_loop(contents, slots, ops, cached, watched
         fault_key(f) for f in reference.mpu.fault_log
     ]
     assert memory.mpu.obs.events == reference.mpu.obs.events
-    assert watched_calls == ref_watched
     assert sensor.reads == ref_sensor.reads
     assert touched(written) == touched(ref_written)
 
 
 def test_an_allowed_run_takes_the_slab_path():
     """The property above cannot tell a fast path from none at all."""
-    memory, _, written, _ = build(bytes(ODD_SIZE + 4), [None] * SLOTS, True, False)
+    memory, _, written = build(bytes(ODD_SIZE + 4), [None] * SLOTS, True)
     memory.mpu.program_slot(0, MpuRule("task", CODE_LOW, CODE_HIGH, ODD_BASE, WORD_BASE, 3))
     memory.write_words(ODD_BASE + 8, (1, 2, 3), CODE_LOW, descending=True)
     assert memory.read_words(ODD_BASE + 8, 3, CODE_LOW) == (1, 2, 3)

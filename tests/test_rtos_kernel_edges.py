@@ -141,7 +141,7 @@ class TestRunLoop:
     def test_event_sink_sees_lifecycle(self, baseline):
         platform, kernel, loader = baseline
         kinds = []
-        kernel.add_event_sink(lambda cycle, kind, data: kinds.append(kind))
+        kernel.obs.subscribe(lambda event: kinds.append(event.kind))
         task = load_isa(kernel, loader, COUNTER_TASK)
         kernel.run(max_cycles=100_000)
         assert "task-loaded" in kinds

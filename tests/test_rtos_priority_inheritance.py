@@ -77,9 +77,9 @@ class TestPriorityInheritance:
         platform, kernel, loader = baseline
         mutex, log, tasks = build_inversion_scenario(kernel)
         boosts = []
-        kernel.add_event_sink(
-            lambda cycle, kind, data: boosts.append((kind, dict(data)))
-            if kind in ("priority-inherit", "priority-restore")
+        kernel.obs.subscribe(
+            lambda event: boosts.append((event.kind, event.data))
+            if event.kind in ("priority-inherit", "priority-restore")
             else None
         )
         kernel.run(max_cycles=1_000_000)

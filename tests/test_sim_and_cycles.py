@@ -16,7 +16,7 @@ from repro.sim.footprint import (
     total_bytes,
     tytan_footprint,
 )
-from repro.sim.trace import ActivationRecorder, EventTrace
+from repro.sim.trace import ActivationRecorder
 from repro.sim.workloads import synthetic_image
 
 
@@ -174,14 +174,3 @@ class TestMonitors:
         recorder.mark("t")
         assert recorder.count_between("t", 0, 500) == 1
         assert recorder.count_between("t", 0, 2_000) == 2
-
-    def test_event_trace_filtering(self):
-        trace = EventTrace(keep={"alpha"})
-        trace(10, "alpha", {"x": 1})
-        trace(20, "beta", {"y": 2})
-        assert trace.count("alpha") == 1
-        assert trace.count("beta") == 0
-        assert trace.last("alpha") == (10, "alpha", {"x": 1})
-        assert trace.between(0, 15) == [(10, "alpha", {"x": 1})]
-        trace.clear()
-        assert trace.events == []

@@ -153,7 +153,10 @@ class TestRun:
         assert (
             run.main([str(tmp / "task.img"), "--ms", "1", "--trace"], out=out) == 0
         )
-        assert "event trace" in out.getvalue()
+        trace = out.getvalue().split("\nevent trace:\n", 1)[1]
+        kinds = {line.split()[1] for line in trace.splitlines()}
+        # One kind from each layer: kernel, hardware, trusted component.
+        assert {"syscall", "exception", "task-measured"} <= kinds
 
     def test_vcd_output(self, workspace):
         tmp, source = workspace
